@@ -203,7 +203,11 @@ def read_table(path: str) -> TranslationTable:
                 raise FormatError(
                     f"unparsable probability {raw_prob!r}", path=path, line=lineno
                 ) from None
-            if p < 0.0:
-                raise FormatError(f"negative probability {raw_prob}", path=path, line=lineno)
+            if not (math.isfinite(p) and p >= 0.0):
+                raise FormatError(
+                    f"probability must be finite and >= 0, got {raw_prob}",
+                    path=path,
+                    line=lineno,
+                )
             probs.setdefault(x, {})[y] = p
     return TranslationTable(probs)

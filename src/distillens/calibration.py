@@ -125,9 +125,15 @@ def token_accuracy(
     one with more matches, then to the one whose matched hypothesis
     positions are lexicographically earliest, so the output is unique.
 
-    Two backward passes: one tabulating (cost, -matches) for every pair
-    of suffixes, then one selecting the earliest matched-position tuple
-    among alignments that stay optimal.
+    One backward pass over two rolling rows. The cell for hyp[i:] and
+    ref[j:] holds the triple (cost, -matches, -mask), where mask has bit
+    len(hyp) - 1 - p set for every matched hypothesis position p. All
+    optimal alignments have the same number of matches, and of two
+    equal-size position sets the lexicographically earlier one holds the
+    smallest position where they differ, so it has the larger mask.
+    Lexicographic order on these additive triples is preserved under
+    addition, so the cell-wise minimum is the global optimum and the
+    labels are the bits of the mask at the first cell.
     """
     hyp = list(hypothesis)
     ref = list(reference)
@@ -136,59 +142,26 @@ def token_accuracy(
     if n_hyp == 0:
         return []
 
-    # best[i][j]: (edit cost, -matches) aligning hyp[i:] with ref[j:]
-    best = [[(0, 0)] * (n_ref + 1) for _ in range(n_hyp + 1)]
-    for j in range(n_ref + 1):
-        best[n_hyp][j] = (n_ref - j, 0)
-    for i in range(n_hyp + 1):
-        best[i][n_ref] = (n_hyp - i, 0)
+    # below[j]: (edit cost, -matches, -mask) aligning hyp[i + 1:] with ref[j:]
+    below = [(n_ref - j, 0, 0) for j in range(n_ref + 1)]
     for i in range(n_hyp - 1, -1, -1):
+        token = hyp[i]
+        bit = 1 << (n_hyp - 1 - i)
+        row = [(0, 0, 0)] * n_ref + [(n_hyp - i, 0, 0)]
         for j in range(n_ref - 1, -1, -1):
-            equal = hyp[i] == ref[j]
-            diag_cost, diag_matches = best[i + 1][j + 1]
-            diagonal = (
-                diag_cost + (0 if equal else 1),
-                diag_matches - (1 if equal else 0),
-            )
-            deletion = (best[i + 1][j][0] + 1, best[i + 1][j][1])
-            insertion = (best[i][j + 1][0] + 1, best[i][j + 1][1])
-            best[i][j] = min(diagonal, deletion, insertion)
+            if token == ref[j]:
+                cost, neg_matches, neg_mask = below[j + 1]
+                match = (cost, neg_matches - 1, neg_mask - bit)
+                cost, neg_matches, neg_mask = min(below[j], row[j + 1])
+                row[j] = min(match, (cost + 1, neg_matches, neg_mask))
+            else:
+                # substitution, deletion and insertion all cost one edit
+                cost, neg_matches, neg_mask = min(below[j + 1], below[j], row[j + 1])
+                row[j] = (cost + 1, neg_matches, neg_mask)
+        below = row
 
-    # matched[i][j]: lexicographically smallest tuple of matched
-    # hypothesis positions over alignments achieving best[i][j]
-    empty: tuple[int, ...] = ()
-    matched: list[list[tuple[int, ...]]] = [
-        [empty] * (n_ref + 1) for _ in range(n_hyp + 1)
-    ]
-    for i in range(n_hyp - 1, -1, -1):
-        for j in range(n_ref - 1, -1, -1):
-            target = best[i][j]
-            equal = hyp[i] == ref[j]
-            diag_cost, diag_matches = best[i + 1][j + 1]
-            diagonal = (
-                diag_cost + (0 if equal else 1),
-                diag_matches - (1 if equal else 0),
-            )
-            choice = None
-            if diagonal == target:
-                candidate = matched[i + 1][j + 1]
-                if equal:
-                    candidate = (i,) + candidate
-                choice = candidate
-            if (best[i + 1][j][0] + 1, best[i + 1][j][1]) == target:
-                candidate = matched[i + 1][j]
-                if choice is None or candidate < choice:
-                    choice = candidate
-            if (best[i][j + 1][0] + 1, best[i][j + 1][1]) == target:
-                candidate = matched[i][j + 1]
-                if choice is None or candidate < choice:
-                    choice = candidate
-            matched[i][j] = choice
-
-    labels = [False] * n_hyp
-    for position in matched[0][0]:
-        labels[position] = True
-    return labels
+    mask = -below[0][2]
+    return [bool(mask >> (n_hyp - 1 - p) & 1) for p in range(n_hyp)]
 
 
 def expected_calibration_error(

@@ -19,6 +19,7 @@ import sys
 from typing import Sequence
 
 from .aligner import (
+    TranslationTable,
     read_table,
     train_ibm1,
     viterbi_align,
@@ -59,7 +60,7 @@ _CXTY_FLAGS = {"frs": "frs", "walign": "word_align", "nmt": "nmt"}
 
 def _write_json(payload: dict, path: str) -> None:
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -87,18 +88,19 @@ def _check_alignment_count(
         )
 
 
-def _self_align(
-    corpus: ParallelCorpus, iterations: int, label: str
-) -> list[Alignment]:
+def _train_and_align(
+    corpus: ParallelCorpus, iterations: int, prefix: str
+) -> tuple[TranslationTable, list[Alignment]]:
+    """EM-train a table, reporting each round on stderr, then Viterbi-align."""
+
     def progress(round_number: int, log_likelihood: float) -> None:
         print(
-            f"{label}: iteration {round_number} "
-            f"log-likelihood {log_likelihood:.6f}",
+            f"{prefix}iteration {round_number} log-likelihood {log_likelihood:.6f}",
             file=sys.stderr,
         )
 
     table = train_ibm1(corpus, iterations, on_iteration=progress)
-    return [viterbi_align(pair, table) for pair in corpus]
+    return table, [viterbi_align(pair, table) for pair in corpus]
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +109,7 @@ def _self_align(
 
 def _cmd_align(args: argparse.Namespace) -> None:
     corpus = read_parallel_corpus(args.src, args.tgt)
-
-    def progress(round_number: int, log_likelihood: float) -> None:
-        print(
-            f"iteration {round_number} log-likelihood {log_likelihood:.6f}",
-            file=sys.stderr,
-        )
-
-    table = train_ibm1(corpus, args.iters, on_iteration=progress)
-    alignments = [viterbi_align(pair, table) for pair in corpus]
+    table, alignments = _train_and_align(corpus, args.iters, "")
     write_alignments(alignments, args.out)
     if args.table:
         write_table(table, args.table)
@@ -173,17 +167,17 @@ def _cmd_select(args: argparse.Namespace) -> None:
     sources = read_token_lines(args.src)
     table = read_table(args.table) if args.table else None
     config = SelectionConfig(args.lam, kind)
+    # one output line per k-best list, so ids 0..K-1 keep the output
+    # line-parallel with the first K lines of --src and --ref
+    line_count = min(len(references), len(sources))
+    if sorted(lists) != list(range(len(lists))) or len(lists) > line_count:
+        raise ValidationError(
+            f"{args.kbest}: k-best sentence ids must be exactly 0..K-1 with "
+            f"K <= {line_count}, the line count of {args.ref} and {args.src}"
+        )
     selected_lines = []
     score_rows = []
     for sentence_id in sorted(lists):
-        if sentence_id >= len(references):
-            raise ValidationError(
-                f"k-best sentence id {sentence_id} has no line in {args.ref}"
-            )
-        if sentence_id >= len(sources):
-            raise ValidationError(
-                f"k-best sentence id {sentence_id} has no line in {args.src}"
-            )
         scored = score_hypotheses(
             lists[sentence_id],
             references[sentence_id],
@@ -191,10 +185,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
             config,
             table,
         )
-        best_rank = 0
-        for rank, hypothesis in enumerate(scored):
-            if hypothesis.total > scored[best_rank].total:
-                best_rank = rank
+        best_rank = max(range(len(scored)), key=lambda rank: scored[rank].total)
         selected_lines.append(" ".join(scored[best_rank].entry.hypothesis))
         if args.scores:
             for rank, hypothesis in enumerate(scored):
@@ -284,12 +275,14 @@ def _cmd_report(args: argparse.Namespace) -> None:
         real_alignments = read_alignments(args.real_align)
         _check_alignment_count(real, real_alignments, args.real_align)
     else:
-        real_alignments = _self_align(real, args.iters, "real")
+        _, real_alignments = _train_and_align(real, args.iters, "real: ")
     if args.distilled_align:
         distilled_alignments = read_alignments(args.distilled_align)
         _check_alignment_count(distilled, distilled_alignments, args.distilled_align)
     else:
-        distilled_alignments = _self_align(distilled, args.iters, "distilled")
+        _, distilled_alignments = _train_and_align(
+            distilled, args.iters, "distilled: "
+        )
     real_table = conditional_distribution(real, real_alignments)
     real_report = compute_report(real, real_alignments, alpha=args.alpha)
     distilled_report = compute_report(

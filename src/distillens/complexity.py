@@ -170,8 +170,8 @@ def faithfulness(
     corpus misses a target word. A source word absent from the distilled
     table falls back to the uniform distribution over that support.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"smoothing constant must be > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"smoothing constant must be finite and > 0, got {alpha}")
     vocabulary = real_table.vocabulary()
     if not vocabulary:
         raise ValueError("real table has an empty source vocabulary")

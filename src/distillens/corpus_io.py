@@ -22,11 +22,12 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ValidationError
 
@@ -110,19 +111,19 @@ class Alignment:
 
     def leftmost_by_target(self) -> dict[int, int]:
         """Map each aligned target position to its smallest linked source index."""
-        reduced: dict[int, int] = {}
-        for i, j in sorted(self.links):
-            if j not in reduced or i < reduced[j]:
-                reduced[j] = i
-        return {j: reduced[j] for j in sorted(reduced)}
+        return _smallest_by_key((j, i) for i, j in self.links)
 
     def min_target_by_source(self) -> dict[int, int]:
         """Map each aligned source position to its smallest linked target index."""
-        reduced: dict[int, int] = {}
-        for i, j in sorted(self.links):
-            if i not in reduced or j < reduced[i]:
-                reduced[i] = j
-        return {i: reduced[i] for i in sorted(reduced)}
+        return _smallest_by_key(self.links)
+
+
+def _smallest_by_key(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Map each key to its smallest value, keys in ascending order."""
+    reduced: dict[int, int] = {}
+    for key, value in sorted(pairs):
+        reduced.setdefault(key, value)
+    return reduced
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,8 @@ def read_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
 
 
 def write_parallel_corpus(corpus: ParallelCorpus, src_path: str, tgt_path: str) -> None:
-    with atomic_write(src_path) as fh:
-        for pair in corpus:
-            fh.write(" ".join(pair.source) + "\n")
-    with atomic_write(tgt_path) as fh:
-        for pair in corpus:
-            fh.write(" ".join(pair.target) + "\n")
+    write_token_lines([pair.source for pair in corpus], src_path)
+    write_token_lines([pair.target for pair in corpus], tgt_path)
 
 
 def write_token_lines(sentences: Sequence[Sequence[str]], path: str) -> None:
@@ -299,9 +296,11 @@ def read_kbest(path: str) -> dict[int, KBestList]:
                 raise FormatError(
                     f"unparsable log probability {parts[2]!r}", path=path, line=lineno
                 ) from None
-            if logprob > 0.0:
+            if not (math.isfinite(logprob) and logprob <= 0.0):
                 raise FormatError(
-                    f"log probability must be <= 0, got {parts[2]}", path=path, line=lineno
+                    f"log probability must be finite and <= 0, got {parts[2]}",
+                    path=path,
+                    line=lineno,
                 )
             grouped.setdefault(sentence_id, []).append(KBestEntry(hypothesis, logprob))
             previous_id = sentence_id
@@ -446,9 +445,11 @@ def read_attention(path: str) -> list[AttentionRecord]:
                         raise FormatError(
                             "attention weights must be numbers", path=path, line=lineno
                         )
-                    if value < 0.0:
+                    if not (math.isfinite(value) and value >= 0.0):
                         raise FormatError(
-                            f"negative attention weight {value}", path=path, line=lineno
+                            f"attention weight {value} must be finite and >= 0",
+                            path=path,
+                            line=lineno,
                         )
                     values.append(float(value))
                 total = sum(values)

@@ -181,8 +181,4 @@ def select_reference(
 ) -> KBestEntry:
     """The entry with the highest total; ties keep the best original rank."""
     scored = score_hypotheses(kbest, reference, source, config, table)
-    best = scored[0]
-    for candidate in scored[1:]:
-        if candidate.total > best.total:
-            best = candidate
-    return best.entry
+    return max(scored, key=lambda hypothesis: hypothesis.total).entry

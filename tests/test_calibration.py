@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillens import (
     AttentionRecord,
@@ -22,6 +24,14 @@ def _record(weights, sentence_id=0, iteration=1, head=0):
     return AttentionRecord(
         sentence_id, iteration, head, tuple(tuple(row) for row in weights)
     )
+
+
+@st.composite
+def _token_pairs(draw):
+    """A hypothesis and a reference over one alphabet of 1-3 symbols."""
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=6)
+    return draw(tokens), draw(tokens)
 
 
 def _pred(probability, correct, sentence_id=0, position=0):
@@ -107,7 +117,9 @@ class TestTokenAccuracy:
             ref = [rng.choice("ab") for _ in range(rng.randint(0, 8))]
             assert token_accuracy(hyp, ref) == token_accuracy(list(hyp), list(ref))
 
-    def test_matches_brute_force(self):
+    @settings(max_examples=300, deadline=None)
+    @given(_token_pairs())
+    def test_matches_brute_force(self, pair):
         """Exhaustively compare with a direct enumeration of all edit
         alignments under the documented tie-break order."""
 
@@ -131,11 +143,8 @@ class TestTokenAccuracy:
                 labels[position] = True
             return labels
 
-        rng = random.Random(31)
-        for _ in range(300):
-            hyp = [rng.choice("abc") for _ in range(rng.randint(0, 5))]
-            ref = [rng.choice("abc") for _ in range(rng.randint(0, 5))]
-            assert token_accuracy(hyp, ref) == brute(hyp, ref)
+        hyp, ref = pair
+        assert token_accuracy(hyp, ref) == brute(hyp, ref)
 
 
 class TestExpectedCalibrationError:

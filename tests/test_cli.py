@@ -72,6 +72,45 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+# each non-finite input and the stderr text that must name it
+_NON_FINITE = {
+    "metrics-alpha": "smoothing constant",
+    "kbest-logprob": "k: line 1: ",
+    "attn-weight": "a.jsonl: line 1: ",
+    "table-nan": "t.tsv: line 1: ",
+    "table-inf": "t.tsv: line 1: ",
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("case", sorted(_NON_FINITE))
+    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, case):
+        src, tgt, aln = corpus_files
+        out = str(tmp_path / "out")
+        select = ["select", "--ref", tgt, "--src", src, "--out", out]
+        if case == "metrics-alpha":
+            argv = ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
+                    "--alpha", "nan", "--out", out]
+        elif case == "kbest-logprob":
+            kbest = _write(tmp_path / "k", "0 ||| x ||| nan\n")
+            argv = select + ["--kbest", kbest, "--cxty", "nmt",
+                             "--scores", str(tmp_path / "scores.csv")]
+        elif case == "attn-weight":
+            attn = _write(
+                tmp_path / "a.jsonl",
+                '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, NaN]]}\n',
+            )
+            argv = ["attn", "--attn", attn, "--out", out]
+        else:
+            table = _write(tmp_path / "t.tsv", f"a\tx\t{case.split('-')[1]}\n")
+            kbest = _write(tmp_path / "k", "0 ||| x ||| -1.0\n")
+            argv = select + ["--kbest", kbest, "--cxty", "frs", "--table", table]
+        inputs = set(tmp_path.iterdir())
+        assert run(argv) == 1
+        assert _NON_FINITE[case] in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files
@@ -170,6 +209,20 @@ class TestSelect:
         )
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("ids", [[2], [0, 2], [0, 1, 2, 3]])
+    def test_ids_must_be_a_prefix_of_the_lines(self, tmp_path, capsys, ids):
+        src = _write(tmp_path / "s", "s0\ns1\ns2\n")
+        ref = _write(tmp_path / "r", "a\nb\nc\n")
+        kbest = _write(tmp_path / "k", "".join(f"{i} ||| a ||| -1.0\n" for i in ids))
+        out = tmp_path / "sel.txt"
+        code = run(
+            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
+             "--cxty", "nmt", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "0..K-1" in capsys.readouterr().err
 
 
 class TestPreorder:
