@@ -329,6 +329,11 @@ def _load_json_line(raw: str, path: str, lineno: int) -> dict:
         record = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+    except ValueError:
+        # json.loads refuses integers past the interpreter's digit limit
+        raise FormatError("invalid JSON: integer too long", path=path, line=lineno) from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply", path=path, line=lineno) from None
     if not isinstance(record, dict):
         raise FormatError("record must be a JSON object", path=path, line=lineno)
     return record
@@ -362,7 +367,10 @@ def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
                 raise FormatError(
                     "field 'probability' must be a number", path=path, line=lineno
                 )
-            probability = float(probability)
+            try:
+                probability = float(probability)
+            except OverflowError:  # a JSON integer too large for a float
+                raise FormatError("probability is too large", path=path, line=lineno) from None
             if not 0.0 <= probability <= 1.0:
                 raise FormatError(
                     f"probability {probability} outside [0, 1]", path=path, line=lineno
@@ -445,7 +453,13 @@ def read_attention(path: str) -> list[AttentionRecord]:
                         raise FormatError(
                             "attention weights must be numbers", path=path, line=lineno
                         )
-                    if not (math.isfinite(value) and value >= 0.0):
+                    try:
+                        finite = math.isfinite(value)
+                    except OverflowError:  # a JSON integer too large for a float
+                        raise FormatError(
+                            "attention weight is too large", path=path, line=lineno
+                        ) from None
+                    if not (finite and value >= 0.0):
                         raise FormatError(
                             f"attention weight {value} must be finite and >= 0",
                             path=path,

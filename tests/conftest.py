@@ -3,9 +3,17 @@
 Collects the verdicts of the numbered acceptance tests and prints one
 line per criterion at the end of the run, so the overall contract
 status is readable without scanning the full test list.
+
+Property tests run under a derandomized `hypothesis` profile, so every
+run draws the same examples and any failure reproduces.
 """
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 CRITERIA = {
     1: "sentence FRS equals the exhaustive naive-chunking oracle",

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillens import (
     NULL_TOKEN,
@@ -19,6 +21,7 @@ from distillens import (
     word_alignment_score,
     write_table,
 )
+from distillens.aligner import PROB_FLOOR
 
 
 def _corpus(*pairs):
@@ -38,7 +41,85 @@ def _random_corpus(rng, n_pairs=30, vocab=8):
     return ParallelCorpus(tuple(pairs))
 
 
+def _dict_em(corpus, iterations):
+    """IBM-1 EM over nested dicts, frozen from the implementation the
+    slot-indexed one replaced: the oracle for bit-identical output.
+    Returns the table rows and the per-round log-likelihoods."""
+    cooc = {NULL_TOKEN: {}}
+    for pair in corpus:
+        for x in (NULL_TOKEN,) + pair.source:
+            row = cooc.setdefault(x, {})
+            for y in pair.target:
+                row[y] = None
+    table = {x: {y: 1.0 / len(ys) for y in ys} for x, ys in cooc.items()}
+    history = []
+    for _ in range(iterations):
+        counts = {x: {} for x in table}
+        totals = {x: 0.0 for x in table}
+        log_likelihood = 0.0
+        for pair in corpus:
+            extended = (NULL_TOKEN,) + pair.source
+            for y in pair.target:
+                scores = [table[x][y] for x in extended]
+                z = sum(scores)
+                log_likelihood += math.log(z / len(extended))
+                for x, score in zip(extended, scores):
+                    delta = score / z
+                    row = counts[x]
+                    row[y] = row.get(y, 0.0) + delta
+                    totals[x] += delta
+        history.append(log_likelihood)
+        table = {
+            x: {y: count / totals[x] for y, count in row.items()}
+            for x, row in counts.items()
+            if totals[x] > 0.0
+        }
+    return table, history
+
+
+def _bits(probs):
+    """Rows and columns in insertion order, each float as its exact hex."""
+    return [(x, [(y, p.hex()) for y, p in row.items()]) for x, row in probs.items()]
+
+
+@st.composite
+def _small_corpora(draw):
+    """Up to 6 pairs over vocabularies of 1-4 words a side, sentences
+    of 0-5 tokens with repeats; the literal NULL token may appear as a
+    source word."""
+    sources = [NULL_TOKEN, "a", "b", "c"][: draw(st.integers(1, 4))]
+    targets = ["x", "y", "z", "w"][: draw(st.integers(1, 4))]
+
+    def sentences(words):
+        return st.lists(st.sampled_from(words), max_size=5).map(tuple)
+
+    pair = st.builds(SentencePair, sentences(sources), sentences(targets))
+    return ParallelCorpus(tuple(draw(st.lists(pair, min_size=1, max_size=6))))
+
+
+@st.composite
+def _tables_and_pairs(draw):
+    """A table with or without a NULL row, entries of 0.0, below, at and
+    above PROB_FLOOR (equal values tie), and a pair whose source words
+    may have no row ("d" never has one)."""
+    values = st.sampled_from([0.0, 1e-13, PROB_FLOOR, 0.25, 0.5, 1.0])
+    row_words = draw(st.lists(st.sampled_from([NULL_TOKEN, "a", "b", "c"]), unique=True))
+    probs = {x: draw(st.dictionaries(st.sampled_from("xyz"), values)) for x in row_words}
+    source = draw(st.lists(st.sampled_from("abcd"), max_size=5))
+    target = draw(st.lists(st.sampled_from("xyzw"), max_size=5))
+    return TranslationTable(probs), SentencePair(tuple(source), tuple(target))
+
+
 class TestTrainIbm1:
+    @settings(max_examples=200)
+    @given(_small_corpora(), st.integers(1, 4))
+    def test_bit_identical_to_dict_em(self, corpus, iterations):
+        history = []
+        table = train_ibm1(corpus, iterations, on_iteration=lambda i, ll: history.append(ll))
+        expected, expected_history = _dict_em(corpus, iterations)
+        assert _bits(table.probs) == _bits(expected)
+        assert [ll.hex() for ll in history] == [ll.hex() for ll in expected_history]
+
     def test_single_pair_one_iteration(self):
         """With one pair ("a","x") the posterior splits the count between
         "a" and NULL, but per-source normalization over the co-occurring
@@ -109,6 +190,20 @@ class TestTrainIbm1:
 
 
 class TestViterbi:
+    @settings(max_examples=200)
+    @given(_tables_and_pairs())
+    def test_matches_brute_force(self, case):
+        """Each target token goes to the first maximum of the floored
+        lookups over NULL then the source words, left out if NULL."""
+        table, pair = case
+        links = set()
+        for j, y in enumerate(pair.target):
+            floored = [table.prob(x, y) for x in (NULL_TOKEN,) + pair.source]
+            best = floored.index(max(floored))
+            if best > 0:
+                links.add((best - 1, j))
+        assert viterbi_align(pair, table).links == frozenset(links)
+
     def test_forced_argmax(self):
         table = TranslationTable(
             {"a": {"x": 1.0}, "b": {"y": 1.0}, NULL_TOKEN: {"x": 0.0, "y": 0.0}}

@@ -117,7 +117,7 @@ class TestTokenAccuracy:
             ref = [rng.choice("ab") for _ in range(rng.randint(0, 8))]
             assert token_accuracy(hyp, ref) == token_accuracy(list(hyp), list(ref))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_token_pairs())
     def test_matches_brute_force(self, pair):
         """Exhaustively compare with a direct enumeration of all edit

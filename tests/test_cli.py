@@ -111,6 +111,34 @@ class TestNonFiniteInput:
         assert set(tmp_path.iterdir()) == inputs
 
 
+_ATTN = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": %s}\n'
+_PRED = '{"sentence_id": 0, "position": 0, "token": "a", "probability": %s}\n'
+
+
+class TestOversizedJson:
+    """JSON numbers no float can hold, and nesting the parser cannot
+    follow, are format errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "subcommand, line",
+        [
+            ("attn", _ATTN % f"[[{'9' * 401}]]"),
+            ("calibrate", _PRED % ("9" * 401)),
+            ("calibrate", _PRED % ("9" * 5001)),  # past int()'s digit limit
+            ("attn", _ATTN % ("[" * 100_000 + "]" * 100_000)),
+        ],
+        ids=["weight-401-digits", "probability-401-digits",
+             "probability-5001-digits", "nested-100k-deep"],
+    )
+    def test_rejected_with_no_output(self, tmp_path, capsys, subcommand, line):
+        path = _write(tmp_path / "in.jsonl", line)
+        flag = "--attn" if subcommand == "attn" else "--preds"
+        inputs = set(tmp_path.iterdir())
+        assert run([subcommand, flag, path, "--out", str(tmp_path / "out")]) == 1
+        assert "in.jsonl: line 1: " in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files
