@@ -47,6 +47,7 @@ from .corpus_io import (
     ParallelCorpus,
     SentencePair,
     TokenPredictionRecord,
+    check_alignments,
     format_pharaoh,
     parse_pharaoh,
     read_alignments,
@@ -97,6 +98,7 @@ __all__ = [
     "parse_pharaoh",
     "format_pharaoh",
     "read_alignments",
+    "check_alignments",
     "write_alignments",
     "read_kbest",
     "write_kbest",

@@ -51,11 +51,9 @@ from .corpus_io import (
 )
 from .errors import DistillensError, ValidationError
 from .preorder import monotone_preorder
-from .selection import SelectionConfig, score_hypotheses
+from .selection import COMPLEXITY_KINDS, SelectionConfig, score_hypotheses
 
 __all__ = ["run", "main"]
-
-_CXTY_FLAGS = {"frs": "frs", "walign": "word_align", "nmt": "nmt"}
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -76,16 +74,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _check_alignment_count(
-    corpus: ParallelCorpus, alignments: Sequence[Alignment], path: str
-) -> None:
-    if len(alignments) != len(corpus):
-        raise ValidationError(
-            f"{path}: {len(alignments)} alignments for a corpus of "
-            f"{len(corpus)} sentence pairs"
-        )
 
 
 def _train_and_align(
@@ -140,13 +128,11 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
             "--real-src, --real-tgt and --real-align must be given together"
         )
     corpus = read_parallel_corpus(args.src, args.tgt)
-    alignments = read_alignments(args.align)
-    _check_alignment_count(corpus, alignments, args.align)
+    alignments = read_alignments(args.align, corpus)
     reference_table = None
     if args.real_src is not None:
         real_corpus = read_parallel_corpus(args.real_src, args.real_tgt)
-        real_alignments = read_alignments(args.real_align)
-        _check_alignment_count(real_corpus, real_alignments, args.real_align)
+        real_alignments = read_alignments(args.real_align, real_corpus)
         reference_table = conditional_distribution(real_corpus, real_alignments)
     report = compute_report(
         corpus, alignments, reference_table=reference_table, alpha=args.alpha
@@ -159,14 +145,13 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_select(args: argparse.Namespace) -> None:
-    kind = _CXTY_FLAGS[args.cxty]
-    if kind != "nmt" and args.table is None:
+    if args.cxty != "nmt" and args.table is None:
         args.parser.error(f"--cxty {args.cxty} requires --table")
     lists = read_kbest(args.kbest)
     references = read_token_lines(args.ref)
     sources = read_token_lines(args.src)
     table = read_table(args.table) if args.table else None
-    config = SelectionConfig(args.lam, kind)
+    config = SelectionConfig(args.lam, args.cxty)
     # one output line per k-best list, so ids 0..K-1 keep the output
     # line-parallel with the first K lines of --src and --ref
     line_count = min(len(references), len(sources))
@@ -225,12 +210,10 @@ def _cmd_select(args: argparse.Namespace) -> None:
 
 def _cmd_preorder(args: argparse.Namespace) -> None:
     corpus = read_parallel_corpus(args.src, args.tgt)
-    alignments = read_alignments(args.align)
-    _check_alignment_count(corpus, alignments, args.align)
+    alignments = read_alignments(args.align, corpus)
     new_sources = []
     new_alignments = []
     for pair, alignment in zip(corpus, alignments):
-        alignment.validate(len(pair.source), len(pair.target))
         new_source, new_alignment = monotone_preorder(pair.source, alignment)
         new_sources.append(new_source)
         new_alignments.append(new_alignment)
@@ -272,13 +255,11 @@ def _cmd_report(args: argparse.Namespace) -> None:
     real = read_parallel_corpus(args.real_src, args.real_tgt)
     distilled = read_parallel_corpus(args.distilled_src, args.distilled_tgt)
     if args.real_align:
-        real_alignments = read_alignments(args.real_align)
-        _check_alignment_count(real, real_alignments, args.real_align)
+        real_alignments = read_alignments(args.real_align, real)
     else:
         _, real_alignments = _train_and_align(real, args.iters, "real: ")
     if args.distilled_align:
-        distilled_alignments = read_alignments(args.distilled_align)
-        _check_alignment_count(distilled, distilled_alignments, args.distilled_align)
+        distilled_alignments = read_alignments(args.distilled_align, distilled)
     else:
         _, distilled_alignments = _train_and_align(
             distilled, args.iters, "distilled: "
@@ -323,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=None,
-        help="cap worker parallelism (default: all available cores)",
+        help="accepted for compatibility; has no effect",
     )
     common.add_argument(
         "--seed",
@@ -397,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_select.add_argument(
         "--cxty",
-        choices=sorted(_CXTY_FLAGS),
+        choices=sorted(COMPLEXITY_KINDS),
         required=True,
         help="complexity component: frs, walign or nmt",
     )

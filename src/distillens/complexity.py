@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus_io import Alignment, ParallelCorpus
-from .errors import ValidationError
+from .corpus_io import Alignment, ParallelCorpus, check_alignments
 
 __all__ = [
     "ConditionalTable",
@@ -91,12 +90,7 @@ def sentence_frs(alignment: Alignment, target_length: int) -> float:
     """
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, got {target_length}")
-    for _, j in alignment.links:
-        if j >= target_length:
-            raise ValidationError(
-                f"alignment references target position {j} "
-                f"in a sentence of length {target_length}"
-            )
+    alignment.validate(target_length=target_length)
     reduced = list(alignment.leftmost_by_target().values())
     if len(reduced) <= 1:
         return 1.0
@@ -109,15 +103,11 @@ def sentence_frs(alignment: Alignment, target_length: int) -> float:
 
 def corpus_frs(corpus: ParallelCorpus, alignments: Sequence[Alignment]) -> float:
     """Unweighted mean of sentence_frs over all pairs."""
-    if len(alignments) != len(corpus):
-        raise ValidationError(
-            f"corpus has {len(corpus)} pairs but {len(alignments)} alignments were given"
-        )
+    check_alignments(corpus, alignments)
     if len(corpus) == 0:
         raise ValueError("cannot average over an empty corpus")
     total = 0.0
     for pair, alignment in zip(corpus, alignments):
-        alignment.validate(len(pair.source), len(pair.target))
         total += sentence_frs(alignment, len(pair.target))
     return total / len(corpus)
 
@@ -130,13 +120,9 @@ def conditional_distribution(
     Each link (i, j) contributes one count to (source token i, target
     token j); unaligned tokens contribute nothing.
     """
-    if len(alignments) != len(corpus):
-        raise ValidationError(
-            f"corpus has {len(corpus)} pairs but {len(alignments)} alignments were given"
-        )
+    check_alignments(corpus, alignments)
     counts: dict[str, dict[str, int]] = {}
     for pair, alignment in zip(corpus, alignments):
-        alignment.validate(len(pair.source), len(pair.target))
         for i, j in sorted(alignment.links):
             row = counts.setdefault(pair.source[i], {})
             y = pair.target[j]

@@ -13,10 +13,10 @@ Formats handled here:
   logs, as are all log quantities in this package.
 * Token predictions and attention exports: one JSON object per line.
 
-Alignment files can be parsed without the corpus they belong to; index
-bounds are checked when an :class:`Alignment` is joined with its
-sentence pair (see :meth:`Alignment.validate`). All parsed structures
-are immutable and safe to share across threads.
+A Pharaoh line parses without its corpus, but an alignment file is
+read against its corpus: :func:`check_alignments` checks the count and
+the link bounds once, with errors naming the file and line. All parsed
+structures are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "parse_pharaoh",
     "format_pharaoh",
     "read_alignments",
+    "check_alignments",
     "write_alignments",
     "read_kbest",
     "write_kbest",
@@ -92,13 +93,15 @@ class Alignment:
     def __len__(self) -> int:
         return len(self.links)
 
-    def validate(self, source_length: int, target_length: int | None = None) -> None:
+    def validate(
+        self, source_length: int | None = None, target_length: int | None = None
+    ) -> None:
         """Check link indices against the owning pair's lengths.
 
-        ``target_length`` may be None when only the source side is known.
+        Either length may be None when that side is not known.
         """
-        for i, j in sorted(self.links):
-            if i < 0 or i >= source_length:
+        for i, j in self.links:
+            if i < 0 or (source_length is not None and i >= source_length):
                 raise ValidationError(
                     f"alignment link {i}-{j}: source index out of range "
                     f"for sentence of length {source_length}"
@@ -218,18 +221,23 @@ def parse_pharaoh(line: str, *, path: str | None = None, line_number: int | None
     """Parse one Pharaoh line (``"0-0 1-2"``) into an Alignment.
 
     An empty or whitespace-only line parses to an empty link set. Token
-    order is irrelevant; duplicate links collapse.
+    order is irrelevant; duplicate links collapse. Indices are ASCII
+    digits only.
     """
     links = set()
     for offset, token in enumerate(line.split(), start=1):
         left, sep, right = token.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
-            raise FormatError(
-                f"malformed alignment link {token!r} at token {offset}",
-                path=path,
-                line=line_number,
-            )
-        links.add((int(left), int(right)))
+        if sep and token.isascii() and left.isdigit() and right.isdigit():
+            try:
+                links.add((int(left), int(right)))
+                continue
+            except ValueError:  # more digits than int() accepts
+                pass
+        raise FormatError(
+            f"malformed alignment link {token!r} at token {offset}",
+            path=path,
+            line=line_number,
+        )
     return Alignment(frozenset(links))
 
 
@@ -237,13 +245,35 @@ def format_pharaoh(alignment: Alignment) -> str:
     return " ".join(f"{i}-{j}" for i, j in sorted(alignment.links))
 
 
-def read_alignments(path: str) -> list[Alignment]:
-    """Read one Alignment per line from a Pharaoh file."""
+def read_alignments(path: str, corpus: ParallelCorpus) -> list[Alignment]:
+    """Read one Alignment per line from a Pharaoh file and check it against ``corpus``."""
     alignments = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             alignments.append(parse_pharaoh(raw, path=path, line_number=lineno))
+    check_alignments(corpus, alignments, path)
     return alignments
+
+
+def check_alignments(
+    corpus: ParallelCorpus, alignments: Sequence[Alignment], path: str | None = None
+) -> None:
+    """Check there is one alignment per sentence pair, each link inside its pair.
+
+    Errors start with ``path: `` when a path is given, and name the
+    1-based pair number as ``line N: ``.
+    """
+    prefix = "" if path is None else f"{path}: "
+    if len(alignments) != len(corpus):
+        raise ValidationError(
+            f"{prefix}{len(alignments)} alignments for a corpus of "
+            f"{len(corpus)} sentence pairs"
+        )
+    for number, (pair, alignment) in enumerate(zip(corpus, alignments), start=1):
+        try:
+            alignment.validate(len(pair.source), len(pair.target))
+        except ValidationError as exc:
+            raise ValidationError(f"{prefix}line {number}: {exc}") from None
 
 
 def write_alignments(alignments: Sequence[Alignment], path: str) -> None:

@@ -33,7 +33,7 @@ __all__ = [
     "select_reference",
 ]
 
-COMPLEXITY_KINDS = ("frs", "word_align", "nmt")
+COMPLEXITY_KINDS = ("frs", "walign", "nmt")
 
 
 @dataclass(frozen=True)

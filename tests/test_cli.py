@@ -139,6 +139,57 @@ class TestOversizedJson:
         assert set(tmp_path.iterdir()) == inputs
 
 
+# a second Pharaoh line that does not fit pair 2 of `corpus_files` ("a" / "x"),
+# and the error it must give
+_BAD_LINE_2 = {
+    "source-range": ("1-0", "source index out of range"),
+    "target-range": ("0-1", "target index out of range"),
+    "superscript-digit": ("\u00b2-1", "malformed alignment link"),
+    "arabic-indic-digit": ("\u0663-0", "malformed alignment link"),
+    "5000-digit-index": ("1" * 5000 + "-0", "malformed alignment link"),
+}
+
+
+class TestAlignmentJoin:
+    """An alignment that does not fit its corpus is named by file and line,
+    whichever flag it came in by."""
+
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [
+            (flag, bad)
+            for flag in ("metrics --align", "metrics --real-align",
+                         "preorder --align", "report --distilled-align")
+            for bad in ("source-range", "target-range")
+        ]
+        + [("preorder --align", bad) for bad in
+           ("superscript-digit", "arabic-indic-digit", "5000-digit-index")],
+    )
+    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, flag, bad):
+        src, tgt, aln = corpus_files
+        line, error = _BAD_LINE_2[bad]
+        bad_aln = _write(tmp_path / "bad.aln", f"0-0 1-1\n{line}\n0-0\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "metrics --align": ["metrics", "--src", src, "--tgt", tgt, "--align", bad_aln,
+                                "--out", out],
+            "metrics --real-align": ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
+                                     "--real-src", src, "--real-tgt", tgt,
+                                     "--real-align", bad_aln, "--out", out],
+            "preorder --align": ["preorder", "--src", src, "--tgt", tgt, "--align", bad_aln,
+                                 "--out-src", out, "--out-align", out + ".aln"],
+            "report --distilled-align": ["report", "--real-src", src, "--real-tgt", tgt,
+                                         "--distilled-src", src, "--distilled-tgt", tgt,
+                                         "--real-align", aln, "--distilled-align", bad_aln,
+                                         "--out", out],
+        }[flag]
+        inputs = set(tmp_path.iterdir())
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad_aln}: line 2: " in err and error in err
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files

@@ -102,9 +102,14 @@ class TestCorpusFrs:
         assert corpus_frs(corpus, alignments) == pytest.approx(0.4444, abs=1e-4)
 
     def test_length_mismatch(self):
-        corpus = ParallelCorpus((SentencePair(("a",), ("x",)),))
+        pair = SentencePair(("a",), ("x",))
+        corpus = ParallelCorpus((pair,))
         with pytest.raises(ValidationError):
             corpus_frs(corpus, [])
+        # a link outside its pair names the pair's 1-based number
+        two = ParallelCorpus((pair, pair))
+        with pytest.raises(ValidationError, match="^line 2: "):
+            corpus_frs(two, [_alignment((0, 0)), _alignment((0, 1))])
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -123,6 +128,15 @@ class TestConditionalDistribution:
         alignments = [_alignment((0, 0))] * 3
         table = conditional_distribution(corpus, alignments)
         assert table.distribution("a") == pytest.approx({"x": 2 / 3, "y": 1 / 3})
+
+    def test_length_mismatch(self):
+        pair = SentencePair(("a",), ("x",))
+        corpus = ParallelCorpus((pair,))
+        with pytest.raises(ValidationError):
+            conditional_distribution(corpus, [])
+        two = ParallelCorpus((pair, pair))
+        with pytest.raises(ValidationError, match="^line 2: "):
+            conditional_distribution(two, [_alignment((0, 0)), _alignment((1, 0))])
 
     def test_empty_alignments_empty_vocabulary(self):
         corpus = ParallelCorpus((SentencePair(("a",), ("x",)),))

@@ -3,10 +3,13 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distillens import (
     Alignment,
     AttentionRecord,
+    DistillensError,
     FormatError,
     KBestEntry,
     KBestList,
@@ -14,6 +17,7 @@ from distillens import (
     SentencePair,
     TokenPredictionRecord,
     ValidationError,
+    check_alignments,
     format_pharaoh,
     parse_pharaoh,
     read_alignments,
@@ -86,9 +90,13 @@ class TestPharaoh:
     def test_order_insensitive(self):
         assert parse_pharaoh("1-2 0-0") == parse_pharaoh("0-0 1-2")
 
-    @pytest.mark.parametrize("bad", ["0-0 1_2", "0-", "-1", "x-y", "0--1", "3"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["0-0 1_2", "0-", "-1", "x-y", "0--1", "3", "\u00b2-1", "\u0663-0",
+         pytest.param("1" * 5000 + "-0", id="5000-digits")],
+    )
     def test_malformed_token(self, bad):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="malformed alignment link"):
             parse_pharaoh(bad)
 
     def test_malformed_offset_reported(self):
@@ -108,20 +116,92 @@ class TestPharaoh:
         ]
         path = str(tmp_path / "a.aln")
         write_alignments(alignments, path)
-        assert read_alignments(path) == alignments
+        corpus = _corpus((3, 2), (1, 1), (3, 1))
+        assert read_alignments(path, corpus) == alignments
 
     def test_empty_line_means_no_links(self, tmp_path):
         path = _write(tmp_path / "a.aln", "0-0\n\n1-1\n")
-        alignments = read_alignments(path)
+        alignments = read_alignments(path, _corpus((1, 1), (1, 1), (2, 2)))
         assert alignments[1].links == frozenset()
 
     def test_validate_bounds(self):
         alignment = Alignment(frozenset({(0, 0), (2, 1)}))
         alignment.validate(3, 2)
+        alignment.validate()
         with pytest.raises(ValidationError):
             alignment.validate(2, 2)
         with pytest.raises(ValidationError):
             alignment.validate(3, 1)
+        with pytest.raises(ValidationError, match="target index"):
+            alignment.validate(target_length=1)
+
+
+def _corpus(*lengths):
+    """A corpus whose pairs have the given (source, target) lengths."""
+    return ParallelCorpus(
+        tuple(SentencePair(("s",) * i, ("t",) * j) for i, j in lengths)
+    )
+
+
+@st.composite
+def _corpus_and_pharaoh(draw):
+    """1-4 short pairs, and Pharaoh text of one line per pair with a run of
+    ASCII digits, "-", spaces, newlines, non-ASCII digits or digit runs
+    longer than int() parses spliced in somewhere."""
+    lengths = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4)
+    )
+    link = st.tuples(st.integers(0, 2), st.integers(0, 2)).map("{0[0]}-{0[1]}".format)
+    lines = draw(
+        st.lists(
+            st.lists(link, max_size=3).map(" ".join),
+            min_size=len(lengths),
+            max_size=len(lengths),
+        )
+    )
+    text = "".join(line + "\n" for line in lines)
+    noise = draw(
+        st.lists(
+            st.sampled_from(list("07- \n") + ["\u00b2", "\u0663", "1" * 4400, "9" * 4500]),
+            max_size=3,
+        )
+    )
+    at = draw(st.integers(0, len(text)))
+    return _corpus(*lengths), text[:at] + "".join(noise) + text[at:]
+
+
+class TestCheckAlignments:
+    def test_count_names_path(self):
+        with pytest.raises(ValidationError, match="^a.aln: 1 alignments for a corpus of 2 "):
+            check_alignments(_corpus((1, 1), (1, 1)), [Alignment(frozenset())], "a.aln")
+
+    @pytest.mark.parametrize("link", [(1, 0), (0, 1)], ids=["source", "target"])
+    def test_link_names_path_and_line(self, link):
+        alignments = [Alignment(frozenset({(0, 0)})), Alignment(frozenset({link}))]
+        with pytest.raises(ValidationError, match="^a.aln: line 2: alignment link"):
+            check_alignments(_corpus((1, 1), (1, 1)), alignments, "a.aln")
+        with pytest.raises(ValidationError, match="^line 2: alignment link"):
+            check_alignments(_corpus((1, 1), (1, 1)), alignments)
+
+    def test_read_checks_against_corpus(self, tmp_path):
+        path = _write(tmp_path / "a.aln", "0-0\n0-1\n")
+        with pytest.raises(ValidationError, match=": line 2: .*target index"):
+            read_alignments(path, _corpus((1, 1), (1, 1)))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_corpus_and_pharaoh())
+    def test_read_fits_or_names_the_file(self, tmp_path, drawn):
+        corpus, text = drawn
+        path = _write(tmp_path / "fuzz.aln", text)
+        try:
+            alignments = read_alignments(path, corpus)
+        except DistillensError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert len(alignments) == len(corpus)
+        for pair, alignment in zip(corpus, alignments):
+            for i, j in alignment.links:
+                assert 0 <= i < len(pair.source) and 0 <= j < len(pair.target)
 
 
 class TestKBest:

@@ -124,7 +124,7 @@ class TestScoreHypotheses:
 
     def test_table_required_for_frs_and_word_align(self):
         kbest = _nmt_list(("a b", -1.0))
-        for kind in ("frs", "word_align"):
+        for kind in ("frs", "walign"):
             with pytest.raises(ValueError):
                 score_hypotheses(
                     kbest, ["a", "b"], ["s"], SelectionConfig(0.5, kind)
@@ -152,7 +152,7 @@ class TestScoreHypotheses:
     def test_word_align_complexity_value(self):
         table = TranslationTable({"s": {"t": 0.25}})
         kbest = _nmt_list(("t", -1.0), ("t t", -1.0))
-        config = SelectionConfig(0.0, "word_align")
+        config = SelectionConfig(0.0, "walign")
         scored = score_hypotheses(kbest, ["t"], ["s"], config, table)
         assert scored[0].cxty_raw == pytest.approx(math.log(0.25), abs=1e-12)
         assert scored[1].cxty_raw == pytest.approx(2 * math.log(0.25), abs=1e-12)
