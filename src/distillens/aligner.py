@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus_io import Alignment, ParallelCorpus, SentencePair
+from .corpus_io import Alignment, ParallelCorpus, SentencePair, _read_lines, atomic_write
 from .errors import FormatError
 
 __all__ = [
@@ -56,9 +56,6 @@ class TranslationTable:
         if row is None:
             return PROB_FLOOR
         return max(row.get(target_word, 0.0), PROB_FLOOR)
-
-    def source_vocabulary(self) -> list[str]:
-        return list(self.probs)
 
 
 def train_ibm1(
@@ -206,8 +203,6 @@ def word_alignment_score(
 
 def write_table(table: TranslationTable, path: str) -> None:
     """Serialize a table as tab-separated ``x  y  p`` rows, sorted."""
-    from .corpus_io import atomic_write
-
     with atomic_write(path) as fh:
         for x in sorted(table.probs):
             row = table.probs[x]
@@ -217,28 +212,22 @@ def write_table(table: TranslationTable, path: str) -> None:
 def read_table(path: str) -> TranslationTable:
     """Read a table written by :func:`write_table`."""
     probs: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    "expected `source<TAB>target<TAB>probability`", path=path, line=lineno
-                )
-            x, y, raw_prob = parts
-            try:
-                p = float(raw_prob)
-            except ValueError:
-                raise FormatError(
-                    f"unparsable probability {raw_prob!r}", path=path, line=lineno
-                ) from None
-            if not (math.isfinite(p) and p >= 0.0):
-                raise FormatError(
-                    f"probability must be finite and >= 0, got {raw_prob}",
-                    path=path,
-                    line=lineno,
-                )
-            probs.setdefault(x, {})[y] = p
+
+    def parse_line(raw: str) -> None:
+        line = raw.rstrip("\n")
+        if not line:
+            return
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError("expected `source<TAB>target<TAB>probability`")
+        x, y, raw_prob = parts
+        try:
+            p = float(raw_prob)
+        except ValueError:
+            raise FormatError(f"unparsable probability {raw_prob!r}") from None
+        if not (math.isfinite(p) and p >= 0.0):
+            raise FormatError(f"probability must be finite and >= 0, got {raw_prob}")
+        probs.setdefault(x, {})[y] = p
+
+    _read_lines(path, parse_line)
     return TranslationTable(probs)

@@ -13,10 +13,14 @@ Formats handled here:
   logs, as are all log quantities in this package.
 * Token predictions and attention exports: one JSON object per line.
 
-A Pharaoh line parses without its corpus, but an alignment file is
-read against its corpus: :func:`check_alignments` checks the count and
-the link bounds once, with errors naming the file and line. All parsed
-structures are immutable and safe to share across threads.
+Every input file is UTF-8 text whose lines end at ``\n``, ``\r\n`` or
+``\r``, and every reader goes through :func:`_read_lines`, so a bad line,
+including a byte that is not UTF-8, is a :class:`FormatError` naming
+the file and line. A Pharaoh line parses without its corpus, but an
+alignment file is read against its corpus: :func:`check_alignments`
+checks the count and the link bounds once, with errors naming the file
+and line. All parsed structures are immutable and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ValidationError
 
@@ -174,18 +178,52 @@ class AttentionRecord:
 
 
 # ---------------------------------------------------------------------------
+# line reader
+
+
+def _read_lines(path: str, parse_line: Callable[[str], None]) -> None:
+    """Call ``parse_line`` on each line of the UTF-8 text file ``path``, in order.
+
+    ``parse_line`` raises :class:`FormatError` without a location; it is
+    re-raised naming ``path`` and the line. A byte that is not UTF-8 is
+    the error ``not valid UTF-8`` at the first line holding one.
+    """
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    parse_line(raw)
+                except FormatError as exc:
+                    raise FormatError(str(exc), path=path, line=lineno) from None
+    except UnicodeDecodeError:
+        # the decoder reads ahead in chunks, so lineno need not be the bad
+        # line; find it by re-reading with each bad byte kept as a lone
+        # surrogate, which strict UTF-8 cannot encode
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    break
+        raise FormatError("not valid UTF-8", path=path, line=lineno) from None
+
+
+# ---------------------------------------------------------------------------
 # parallel corpus
 
 
 def read_token_lines(path: str) -> list[tuple[str, ...]]:
     """One whitespace-tokenized sentence per line; blank lines are errors."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens:
-                raise FormatError("empty line", path=path, line=lineno)
-            sentences.append(tuple(tokens))
+
+    def parse_line(raw: str) -> None:
+        tokens = raw.split()
+        if not tokens:
+            raise FormatError("empty line")
+        sentences.append(tuple(tokens))
+
+    _read_lines(path, parse_line)
     return sentences
 
 
@@ -217,7 +255,7 @@ def write_token_lines(sentences: Sequence[Sequence[str]], path: str) -> None:
 # Pharaoh alignments
 
 
-def parse_pharaoh(line: str, *, path: str | None = None, line_number: int | None = None) -> Alignment:
+def parse_pharaoh(line: str) -> Alignment:
     """Parse one Pharaoh line (``"0-0 1-2"``) into an Alignment.
 
     An empty or whitespace-only line parses to an empty link set. Token
@@ -233,11 +271,7 @@ def parse_pharaoh(line: str, *, path: str | None = None, line_number: int | None
                 continue
             except ValueError:  # more digits than int() accepts
                 pass
-        raise FormatError(
-            f"malformed alignment link {token!r} at token {offset}",
-            path=path,
-            line=line_number,
-        )
+        raise FormatError(f"malformed alignment link {token!r} at token {offset}")
     return Alignment(frozenset(links))
 
 
@@ -248,9 +282,7 @@ def format_pharaoh(alignment: Alignment) -> str:
 def read_alignments(path: str, corpus: ParallelCorpus) -> list[Alignment]:
     """Read one Alignment per line from a Pharaoh file and check it against ``corpus``."""
     alignments = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            alignments.append(parse_pharaoh(raw, path=path, line_number=lineno))
+    _read_lines(path, lambda raw: alignments.append(parse_pharaoh(raw)))
     check_alignments(corpus, alignments, path)
     return alignments
 
@@ -289,51 +321,41 @@ def write_alignments(alignments: Sequence[Alignment], path: str) -> None:
 def read_kbest(path: str) -> dict[int, KBestList]:
     """Read a ``id ||| tokens ||| logprob`` file, grouped by sentence id.
 
-    Ids must be non-decreasing so each sentence's hypotheses form one
-    contiguous block; order within a block is preserved.
+    Ids are ASCII digits and must be non-decreasing so each sentence's
+    hypotheses form one contiguous block; order within a block is
+    preserved.
     """
     grouped: dict[int, list[KBestEntry]] = {}
     previous_id: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            parts = line.split(" ||| ")
-            if len(parts) != 3:
-                raise FormatError(
-                    "expected `id ||| tokens ||| logprob`", path=path, line=lineno
-                )
-            try:
-                sentence_id = int(parts[0])
-            except ValueError:
-                raise FormatError(
-                    f"unparsable sentence id {parts[0]!r}", path=path, line=lineno
-                ) from None
-            if sentence_id < 0:
-                raise FormatError("sentence id must be >= 0", path=path, line=lineno)
-            if previous_id is not None and sentence_id < previous_id:
-                raise FormatError(
-                    f"sentence ids must be non-decreasing "
-                    f"({sentence_id} after {previous_id})",
-                    path=path,
-                    line=lineno,
-                )
-            hypothesis = tuple(parts[1].split())
-            if not hypothesis:
-                raise FormatError("empty hypothesis", path=path, line=lineno)
-            try:
-                logprob = float(parts[2])
-            except ValueError:
-                raise FormatError(
-                    f"unparsable log probability {parts[2]!r}", path=path, line=lineno
-                ) from None
-            if not (math.isfinite(logprob) and logprob <= 0.0):
-                raise FormatError(
-                    f"log probability must be finite and <= 0, got {parts[2]}",
-                    path=path,
-                    line=lineno,
-                )
-            grouped.setdefault(sentence_id, []).append(KBestEntry(hypothesis, logprob))
-            previous_id = sentence_id
+
+    def parse_line(raw: str) -> None:
+        nonlocal previous_id
+        parts = raw.rstrip("\n").split(" ||| ")
+        if len(parts) != 3:
+            raise FormatError("expected `id ||| tokens ||| logprob`")
+        try:
+            if not (parts[0].isascii() and parts[0].isdigit()):
+                raise ValueError
+            sentence_id = int(parts[0])
+        except ValueError:  # also more digits than int() accepts
+            raise FormatError(f"unparsable sentence id {parts[0]!r}") from None
+        if previous_id is not None and sentence_id < previous_id:
+            raise FormatError(
+                f"sentence ids must be non-decreasing ({sentence_id} after {previous_id})"
+            )
+        hypothesis = tuple(parts[1].split())
+        if not hypothesis:
+            raise FormatError("empty hypothesis")
+        try:
+            logprob = float(parts[2])
+        except ValueError:
+            raise FormatError(f"unparsable log probability {parts[2]!r}") from None
+        if not (math.isfinite(logprob) and logprob <= 0.0):
+            raise FormatError(f"log probability must be finite and <= 0, got {parts[2]}")
+        grouped.setdefault(sentence_id, []).append(KBestEntry(hypothesis, logprob))
+        previous_id = sentence_id
+
+    _read_lines(path, parse_line)
     return {
         sentence_id: KBestList(sentence_id, tuple(entries))
         for sentence_id, entries in grouped.items()
@@ -354,27 +376,27 @@ def write_kbest(lists: Mapping[int, KBestList], path: str) -> None:
 # token predictions
 
 
-def _load_json_line(raw: str, path: str, lineno: int) -> dict:
+def _load_json_line(raw: str) -> dict:
     try:
         record = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+        raise FormatError(f"invalid JSON: {exc.msg}") from None
     except ValueError:
         # json.loads refuses integers past the interpreter's digit limit
-        raise FormatError("invalid JSON: integer too long", path=path, line=lineno) from None
+        raise FormatError("invalid JSON: integer too long") from None
     except RecursionError:
-        raise FormatError("invalid JSON: nested too deeply", path=path, line=lineno) from None
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
-        raise FormatError("record must be a JSON object", path=path, line=lineno)
+        raise FormatError("record must be a JSON object")
     return record
 
 
-def _require_int(record: dict, key: str, path: str, lineno: int, minimum: int | None = None) -> int:
+def _require_int(record: dict, key: str, minimum: int) -> int:
     value = record.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"field {key!r} must be an integer", path=path, line=lineno)
-    if minimum is not None and value < minimum:
-        raise FormatError(f"field {key!r} must be >= {minimum}", path=path, line=lineno)
+        raise FormatError(f"field {key!r} must be an integer")
+    if value < minimum:
+        raise FormatError(f"field {key!r} must be >= {minimum}")
     return value
 
 
@@ -382,45 +404,35 @@ def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
     """Read per-token prediction records from a JSON-lines file."""
     records = []
     seen_positions: set[tuple[int, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            obj = _load_json_line(raw, path, lineno)
-            sentence_id = _require_int(obj, "sentence_id", path, lineno, minimum=0)
-            position = _require_int(obj, "position", path, lineno, minimum=0)
-            token = obj.get("token")
-            if not isinstance(token, str):
-                raise FormatError("field 'token' must be a string", path=path, line=lineno)
-            probability = obj.get("probability")
-            if isinstance(probability, bool) or not isinstance(probability, (int, float)):
-                raise FormatError(
-                    "field 'probability' must be a number", path=path, line=lineno
-                )
-            try:
-                probability = float(probability)
-            except OverflowError:  # a JSON integer too large for a float
-                raise FormatError("probability is too large", path=path, line=lineno) from None
-            if not 0.0 <= probability <= 1.0:
-                raise FormatError(
-                    f"probability {probability} outside [0, 1]", path=path, line=lineno
-                )
-            correct = obj.get("correct")
-            if correct is not None and not isinstance(correct, bool):
-                raise FormatError(
-                    "field 'correct' must be a boolean when present", path=path, line=lineno
-                )
-            key = (sentence_id, position)
-            if key in seen_positions:
-                raise FormatError(
-                    f"duplicate position {position} in sentence {sentence_id}",
-                    path=path,
-                    line=lineno,
-                )
-            seen_positions.add(key)
-            records.append(
-                TokenPredictionRecord(sentence_id, position, token, probability, correct)
-            )
+
+    def parse_line(raw: str) -> None:
+        if not raw.strip():
+            return
+        obj = _load_json_line(raw)
+        sentence_id = _require_int(obj, "sentence_id", 0)
+        position = _require_int(obj, "position", 0)
+        token = obj.get("token")
+        if not isinstance(token, str):
+            raise FormatError("field 'token' must be a string")
+        probability = obj.get("probability")
+        if isinstance(probability, bool) or not isinstance(probability, (int, float)):
+            raise FormatError("field 'probability' must be a number")
+        try:
+            probability = float(probability)
+        except OverflowError:  # a JSON integer too large for a float
+            raise FormatError("probability is too large") from None
+        if not 0.0 <= probability <= 1.0:
+            raise FormatError(f"probability {probability} outside [0, 1]")
+        correct = obj.get("correct")
+        if correct is not None and not isinstance(correct, bool):
+            raise FormatError("field 'correct' must be a boolean when present")
+        key = (sentence_id, position)
+        if key in seen_positions:
+            raise FormatError(f"duplicate position {position} in sentence {sentence_id}")
+        seen_positions.add(key)
+        records.append(TokenPredictionRecord(sentence_id, position, token, probability, correct))
+
+    _read_lines(path, parse_line)
     return records
 
 
@@ -449,63 +461,47 @@ def read_attention(path: str) -> list[AttentionRecord]:
     further off are rejected with the offending record's line number.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            obj = _load_json_line(raw, path, lineno)
-            sentence_id = _require_int(obj, "sentence_id", path, lineno, minimum=0)
-            iteration = _require_int(obj, "iteration", path, lineno, minimum=1)
-            head = _require_int(obj, "head", path, lineno, minimum=0)
-            weights = obj.get("weights")
-            if not isinstance(weights, list) or not weights:
+
+    def parse_line(raw: str) -> None:
+        if not raw.strip():
+            return
+        obj = _load_json_line(raw)
+        sentence_id = _require_int(obj, "sentence_id", 0)
+        iteration = _require_int(obj, "iteration", 1)
+        head = _require_int(obj, "head", 0)
+        weights = obj.get("weights")
+        if not isinstance(weights, list) or not weights:
+            raise FormatError("field 'weights' must be a non-empty matrix")
+        rows = []
+        width: int | None = None
+        for row in weights:
+            if not isinstance(row, list) or not row:
+                raise FormatError("attention rows must be non-empty lists")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise FormatError("attention rows must all have the same length")
+            values = []
+            for value in row:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise FormatError("attention weights must be numbers")
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # a JSON integer too large for a float
+                    raise FormatError("attention weight is too large") from None
+                if not (finite and value >= 0.0):
+                    raise FormatError(f"attention weight {value} must be finite and >= 0")
+                values.append(float(value))
+            total = sum(values)
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 raise FormatError(
-                    "field 'weights' must be a non-empty matrix", path=path, line=lineno
+                    f"attention row sums to {total!r}, more than "
+                    f"{ROW_SUM_TOLERANCE} away from 1"
                 )
-            rows = []
-            width: int | None = None
-            for row in weights:
-                if not isinstance(row, list) or not row:
-                    raise FormatError(
-                        "attention rows must be non-empty lists", path=path, line=lineno
-                    )
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise FormatError(
-                        "attention rows must all have the same length",
-                        path=path,
-                        line=lineno,
-                    )
-                values = []
-                for value in row:
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise FormatError(
-                            "attention weights must be numbers", path=path, line=lineno
-                        )
-                    try:
-                        finite = math.isfinite(value)
-                    except OverflowError:  # a JSON integer too large for a float
-                        raise FormatError(
-                            "attention weight is too large", path=path, line=lineno
-                        ) from None
-                    if not (finite and value >= 0.0):
-                        raise FormatError(
-                            f"attention weight {value} must be finite and >= 0",
-                            path=path,
-                            line=lineno,
-                        )
-                    values.append(float(value))
-                total = sum(values)
-                if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                    raise FormatError(
-                        f"attention row sums to {total!r}, more than "
-                        f"{ROW_SUM_TOLERANCE} away from 1",
-                        path=path,
-                        line=lineno,
-                    )
-                rows.append(tuple(value / total for value in values))
-            records.append(AttentionRecord(sentence_id, iteration, head, tuple(rows)))
+            rows.append(tuple(value / total for value in values))
+        records.append(AttentionRecord(sentence_id, iteration, head, tuple(rows)))
+
+    _read_lines(path, parse_line)
     return records
 
 

@@ -46,7 +46,6 @@ class SelectionConfig:
 
     sim_weight: float
     complexity_kind: str
-    max_ngram: int = 4
 
     def __post_init__(self):
         if not 0.0 <= self.sim_weight <= 1.0:
@@ -56,8 +55,6 @@ class SelectionConfig:
                 f"complexity_kind must be one of {COMPLEXITY_KINDS}, "
                 f"got {self.complexity_kind!r}"
             )
-        if self.max_ngram < 1:
-            raise ValueError(f"max_ngram must be >= 1, got {self.max_ngram}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,7 @@ def score_hypotheses(
     if not kbest.entries:
         raise ValueError(f"k-best list for sentence {kbest.sentence_id} is empty")
     sims = [
-        smoothed_sentence_bleu(entry.hypothesis, reference, config.max_ngram)
-        for entry in kbest.entries
+        smoothed_sentence_bleu(entry.hypothesis, reference) for entry in kbest.entries
     ]
     raws = [
         _complexity_raw(entry.hypothesis, source, entry, config, table)

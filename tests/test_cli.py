@@ -190,6 +190,80 @@ class TestAlignmentJoin:
         assert set(tmp_path.iterdir()) == inputs
 
 
+# each subcommand's input flags, and the rest of a run that succeeds on
+# `utf8_inputs`; OUT stands for an output path
+_RUNS = {
+    "align": (["--src", "--tgt"], ["--out", "OUT", "--table", "OUT.tsv"]),
+    "metrics": (["--src", "--tgt", "--align"], ["--out", "OUT"]),
+    "select": (
+        ["--kbest", "--ref", "--src", "--table"],
+        ["--cxty", "frs", "--out", "OUT", "--scores", "OUT.csv"],
+    ),
+    "preorder": (["--src", "--tgt", "--align"], ["--out-src", "OUT", "--out-align", "OUT.aln"]),
+    "calibrate": (["--preds", "--hyp", "--ref"], ["--out", "OUT"]),
+    "attn": (["--attn"], ["--out", "OUT"]),
+}
+
+
+@pytest.fixture
+def utf8_inputs(tmp_path, corpus_files):
+    """A valid file for every input flag, each at least two lines long."""
+    src, tgt, aln = corpus_files
+    pred = '{"sentence_id": 0, "position": %d, "token": "%s", "probability": 0.5}\n'
+    return {
+        "--src": src,
+        "--tgt": tgt,
+        "--align": aln,
+        "--ref": tgt,
+        "--hyp": src,
+        "--kbest": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -0.5\n"),
+        "--table": _write(tmp_path / "t.tsv", "a\tx\t1.0\nb\ty\t1.0\n"),
+        "--preds": _write(tmp_path / "p.jsonl", pred % (0, "a") + pred % (1, "b")),
+        "--attn": _write(tmp_path / "a.jsonl", _ATTN % "[[1.0]]" * 2),
+    }
+
+
+def _argv(subcommand, files, out):
+    flags, rest = _RUNS[subcommand]
+    return (
+        [subcommand]
+        + [arg for flag in flags for arg in (flag, files[flag])]
+        + [arg.replace("OUT", out) for arg in rest]
+    )
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a format error naming the file and the
+    line, whichever flag the file came in by."""
+
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [(subcommand, flag) for subcommand, (flags, _) in _RUNS.items() for flag in flags],
+        ids=[f"{subcommand} {flag}" for subcommand, (flags, _) in _RUNS.items() for flag in flags],
+    )
+    def test_rejected_with_no_output(self, tmp_path, capsys, utf8_inputs, subcommand, flag):
+        with open(utf8_inputs[flag], "rb") as fh:
+            first, rest = fh.read().split(b"\n", 1)
+        bad = tmp_path / "bad"
+        bad.write_bytes(first + b"\n\xff" + rest)
+        out = str(tmp_path / "out")
+        inputs = set(tmp_path.iterdir())
+        assert run(_argv(subcommand, {**utf8_inputs, flag: str(bad)}, out)) == 1
+        assert capsys.readouterr().err == f"distillens: {bad}: line 2: not valid UTF-8\n"
+        assert set(tmp_path.iterdir()) == inputs
+        assert run(_argv(subcommand, utf8_inputs, out)) == 0
+        capsys.readouterr()
+
+    def test_carriage_return_ends_a_line(self, tmp_path, capsys, utf8_inputs):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"a\rb\xff\n")
+        out = str(tmp_path / "out")
+        inputs = set(tmp_path.iterdir())
+        assert run(_argv("align", {**utf8_inputs, "--src": str(bad)}, out)) == 1
+        assert capsys.readouterr().err == f"distillens: {bad}: line 2: not valid UTF-8\n"
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files

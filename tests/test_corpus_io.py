@@ -1,11 +1,18 @@
 """I/O layer: parsing, validation and round-trips for every format."""
 
+import ast
+import dataclasses
+import json
+import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import distillens
 from distillens import (
     Alignment,
     AttentionRecord,
@@ -24,6 +31,7 @@ from distillens import (
     read_attention,
     read_kbest,
     read_parallel_corpus,
+    read_table,
     read_token_lines,
     read_token_predictions,
     write_alignments,
@@ -143,33 +151,6 @@ def _corpus(*lengths):
     )
 
 
-@st.composite
-def _corpus_and_pharaoh(draw):
-    """1-4 short pairs, and Pharaoh text of one line per pair with a run of
-    ASCII digits, "-", spaces, newlines, non-ASCII digits or digit runs
-    longer than int() parses spliced in somewhere."""
-    lengths = draw(
-        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4)
-    )
-    link = st.tuples(st.integers(0, 2), st.integers(0, 2)).map("{0[0]}-{0[1]}".format)
-    lines = draw(
-        st.lists(
-            st.lists(link, max_size=3).map(" ".join),
-            min_size=len(lengths),
-            max_size=len(lengths),
-        )
-    )
-    text = "".join(line + "\n" for line in lines)
-    noise = draw(
-        st.lists(
-            st.sampled_from(list("07- \n") + ["\u00b2", "\u0663", "1" * 4400, "9" * 4500]),
-            max_size=3,
-        )
-    )
-    at = draw(st.integers(0, len(text)))
-    return _corpus(*lengths), text[:at] + "".join(noise) + text[at:]
-
-
 class TestCheckAlignments:
     def test_count_names_path(self):
         with pytest.raises(ValidationError, match="^a.aln: 1 alignments for a corpus of 2 "):
@@ -187,21 +168,6 @@ class TestCheckAlignments:
         path = _write(tmp_path / "a.aln", "0-0\n0-1\n")
         with pytest.raises(ValidationError, match=": line 2: .*target index"):
             read_alignments(path, _corpus((1, 1), (1, 1)))
-
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(drawn=_corpus_and_pharaoh())
-    def test_read_fits_or_names_the_file(self, tmp_path, drawn):
-        corpus, text = drawn
-        path = _write(tmp_path / "fuzz.aln", text)
-        try:
-            alignments = read_alignments(path, corpus)
-        except DistillensError as exc:
-            assert str(exc).startswith(f"{path}: ")
-            return
-        assert len(alignments) == len(corpus)
-        for pair, alignment in zip(corpus, alignments):
-            for i, j in alignment.links:
-                assert 0 <= i < len(pair.source) and 0 <= j < len(pair.target)
 
 
 class TestKBest:
@@ -246,6 +212,17 @@ class TestKBest:
     def test_wrong_field_count_rejected(self, tmp_path):
         path = _write(tmp_path / "k", "0 ||| the cat\n")
         with pytest.raises(FormatError):
+            read_kbest(path)
+
+    @pytest.mark.parametrize(
+        "sentence_id",
+        ["1_0", "\u0660", " +0"],
+        ids=["underscore", "arabic-indic-digit", "space-plus"],
+    )
+    def test_id_not_ascii_digits_rejected(self, tmp_path, sentence_id):
+        path = _write(tmp_path / "k", f"{sentence_id} ||| a ||| -1.0\n")
+        message = f"{path}: line 1: unparsable sentence id '{sentence_id}'"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             read_kbest(path)
 
     def test_round_trip(self, tmp_path):
@@ -348,6 +325,168 @@ class TestAttention:
         path = str(tmp_path / "a.jsonl")
         write_attention(records, path)
         assert read_attention(path) == records
+
+
+def _lines(line):
+    """Text of 1-4 lines drawn from ``line``, each ending in a newline."""
+    return st.lists(line, min_size=1, max_size=4).map(
+        lambda lines: "".join(text + "\n" for text in lines)
+    )
+
+
+_TOKENS = st.lists(st.sampled_from("abx"), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _pharaoh(draw):
+    """1-4 short pairs and one Pharaoh line per pair; the reader also checks
+    that every link it returns fits its pair."""
+    lengths = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4)
+    )
+    corpus = _corpus(*lengths)
+    link = st.tuples(st.integers(0, 2), st.integers(0, 2)).map("{0[0]}-{0[1]}".format)
+    lines = st.lists(link, max_size=3).map(" ".join)
+    text = draw(st.lists(lines, min_size=len(lengths), max_size=len(lengths)))
+
+    def read(path):
+        alignments = read_alignments(path, corpus)
+        assert len(alignments) == len(corpus)
+        for pair, alignment in zip(corpus, alignments):
+            for i, j in alignment.links:
+                assert 0 <= i < len(pair.source) and 0 <= j < len(pair.target)
+        return alignments
+
+    return "".join(line + "\n" for line in text), read
+
+
+_KBEST_LINE = st.tuples(
+    st.integers(0, 2), _TOKENS, st.sampled_from(["-1.0", "0", "-0.5", "-2"])
+)
+_PREDICTION = st.fixed_dictionaries(
+    {
+        "sentence_id": st.integers(0, 1),
+        "position": st.integers(0, 3),
+        "token": st.sampled_from("ab"),
+        "probability": st.sampled_from([0.0, 0.25, 1.0]),
+    },
+    optional={"correct": st.booleans()},
+)
+_ATTENTION = st.fixed_dictionaries(
+    {
+        "sentence_id": st.integers(0, 1),
+        "iteration": st.integers(1, 2),
+        "head": st.integers(0, 1),
+        "weights": st.sampled_from([[[1.0]], [[0.5, 0.5]], [[0.25, 0.75], [1.0, 0.0]]]),
+    }
+)
+_JSON_NOISE = ['"', "{", "}", "[", "]", ",", ":", "0", "-", "true", "null", "NaN", "-Infinity"]
+
+# per reader: a strategy for (valid text, read(path)) and the fragments
+# spliced into that text on top of _NOISE
+_READERS = {
+    "token_lines": (_lines(_TOKENS).map(lambda text: (text, read_token_lines)), [" ", "\t", "a"]),
+    "alignments": (
+        _pharaoh(),
+        list("07- ") + ["\u00b2", "\u0663", "1" * 4400, "9" * 4500],
+    ),
+    "kbest": (
+        st.lists(_KBEST_LINE, min_size=1, max_size=4).map(
+            lambda lines: (
+                "".join(f"{i} ||| {tokens} ||| {p}\n" for i, tokens, p in sorted(lines)),
+                read_kbest,
+            )
+        ),
+        ["0", "1", "-", " ||| ", " ", "+", "_", "\u0660"],
+    ),
+    "table": (
+        _lines(
+            st.tuples(_TOKENS, st.sampled_from(["0.5", "1", "0", "1e-12"])).map(
+                lambda row: f"{row[0][0]}\t{row[0][-1]}\t{row[1]}"
+            )
+        ).map(lambda text: (text, read_table)),
+        ["\t", "a", "0.5", "-", "e"],
+    ),
+    "predictions": (
+        _lines(_PREDICTION.map(json.dumps)).map(lambda text: (text, read_token_predictions)),
+        _JSON_NOISE,
+    ),
+    "attention": (
+        _lines(_ATTENTION.map(json.dumps)).map(lambda text: (text, read_attention)),
+        _JSON_NOISE,
+    ),
+}
+
+# spliced into every reader's input: bytes that are not UTF-8 (a stray
+# \xff, a truncated two-byte sequence), every line ending, non-finite and
+# oversized numbers, and nesting deeper than a parser follows
+_NOISE = [b"\xff", b"\xc3", b"\r", b"\r\n", b"\n", b"nan", b"inf", b"1e999",
+          b"9" * 401, b"[" * 100_000]
+
+
+def _floats(value):
+    """Every float held in a parsed structure."""
+    if isinstance(value, float):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _floats(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _floats(item)
+
+
+def _open_calls(module: Path):
+    """(enclosing function, callee) for each call in ``module`` to a name ending in ``open``."""
+    calls = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.Call) and ast.unparse(child.func).endswith("open"):
+                calls.add((function, ast.unparse(child.func)))
+            visit(child, inner)
+
+    visit(ast.parse(module.read_text(encoding="utf-8")), None)
+    return calls
+
+
+class TestEveryReader:
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_read_fits_or_names_the_file(self, tmp_path, reader, data):
+        """Valid text with noise spliced in is read with every number finite,
+        or fails with an error that starts with the file's path."""
+        valid, fragments = _READERS[reader]
+        text, read = data.draw(valid)
+        noise = data.draw(
+            st.lists(st.sampled_from(_NOISE + [f.encode() for f in fragments]), max_size=3)
+        )
+        encoded = text.encode()
+        at = data.draw(st.integers(0, len(encoded)))
+        path = tmp_path / "fuzz"
+        path.write_bytes(encoded[:at] + b"".join(noise) + encoded[at:])
+        try:
+            result = read(str(path))
+        except DistillensError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        assert all(math.isfinite(value) for value in _floats(result))
+
+    def test_only_read_lines_opens_files(self):
+        calls = {
+            (module.stem, function, callee)
+            for module in Path(distillens.__file__).parent.glob("*.py")
+            for function, callee in _open_calls(module)
+        }
+        assert calls == {
+            ("corpus_io", "_read_lines", "open"),
+            ("corpus_io", "atomic_write", "os.fdopen"),
+        }
 
 
 class TestAtomicWrite:

@@ -230,7 +230,3 @@ class TestSelectionConfig:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
             SelectionConfig(0.5, "bleu")
-
-    def test_max_ngram_checked(self):
-        with pytest.raises(ValueError):
-            SelectionConfig(0.5, "nmt", max_ngram=0)
