@@ -13,6 +13,7 @@ format them at display time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 DEFAULT_BINS = 10
+# ECE keeps three lists of n_bins entries and reports every bin, so the
+# count is bounded; 1000 is far above the 10-20 bins used in practice
+# (Guo et al. 2017 use 15)
+MAX_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,41 @@ def confidence_by_iteration(
     }
 
 
+def _edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:
+    """Unit-cost Levenshtein distance by bit-parallel columns.
+
+    Myers (1999) in Hyyrö's (2001) formulation: bit r of the vertical
+    delta vectors pv/mv says whether the distance table goes up/down by
+    one from row r to row r + 1 of the current column, rows indexing ref
+    and columns hyp. A Python int holds the whole column, so each hyp
+    token costs a fixed number of big-int operations.
+    """
+    if not ref:
+        return len(hyp)
+    peq: dict[str, int] = {}
+    for r, token in enumerate(ref):
+        peq[token] = peq.get(token, 0) | 1 << r
+    column = (1 << len(ref)) - 1
+    last = 1 << (len(ref) - 1)
+    pv, mv = column, 0
+    distance = len(ref)
+    for token in hyp:
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        # row 0 of the table grows by one per column, hence the carried-in 1
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & column
+        mv = ph & xv
+    return distance
+
+
 def token_accuracy(
     hypothesis: Sequence[str], reference: Sequence[str]
 ) -> list[bool]:
@@ -134,6 +174,15 @@ def token_accuracy(
     Lexicographic order on these additive triples is preserved under
     addition, so the cell-wise minimum is the global optimum and the
     labels are the bits of the mask at the first cell.
+
+    The pass visits only a diagonal band (Ukkonen 1985). With d the edit
+    distance, found first by _edit_distance, any path through cell
+    (i, j) costs at least |i - j| to reach it and |(n - i) - (m - j)|
+    to finish, so a cell where that sum exceeds d lies on no path of
+    cost d. Every optimal alignment costs exactly d, so it stays inside
+    the band; cells outside count as infinite cost, and the minimum over
+    in-band paths is the same triple as the minimum over all paths. The
+    labels and the tie rule are therefore unchanged.
     """
     hyp = list(hypothesis)
     ref = list(reference)
@@ -142,13 +191,26 @@ def token_accuracy(
     if n_hyp == 0:
         return []
 
+    # cell (i, j) is in the band when its diagonal k = j - i has
+    # |k| + |k - skew| <= d, i.e. low <= k <= high
+    skew = n_ref - n_hyp
+    slack = (_edit_distance(hyp, ref) - abs(skew)) // 2
+    low = min(0, skew) - slack
+    high = max(0, skew) + slack
+    outside = (math.inf, 0, 0)
+
     # below[j]: (edit cost, -matches, -mask) aligning hyp[i + 1:] with ref[j:]
-    below = [(n_ref - j, 0, 0) for j in range(n_ref + 1)]
+    below = [
+        (n_ref - j, 0, 0) if low <= j - n_hyp <= high else outside
+        for j in range(n_ref + 1)
+    ]
     for i in range(n_hyp - 1, -1, -1):
         token = hyp[i]
         bit = 1 << (n_hyp - 1 - i)
-        row = [(0, 0, 0)] * n_ref + [(n_hyp - i, 0, 0)]
-        for j in range(n_ref - 1, -1, -1):
+        row = [outside] * (n_ref + 1)
+        if n_ref - i <= high:  # n_ref - i > skew >= low always holds
+            row[n_ref] = (n_hyp - i, 0, 0)
+        for j in range(min(n_ref - 1, i + high), max(0, i + low) - 1, -1):
             if token == ref[j]:
                 cost, neg_matches, neg_mask = below[j + 1]
                 match = (cost, neg_matches - 1, neg_mask - bit)
@@ -172,10 +234,10 @@ def expected_calibration_error(
     Equal-width bins over [0, 1]; a token with confidence p lands in
     bin min(int(p * n_bins), n_bins - 1). ECE weights each bin's
     absolute gap by its share of the tokens. Empty bins report zero
-    means and contribute nothing.
+    means and contribute nothing. n_bins runs from 1 to MAX_BINS.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if not 1 <= n_bins <= MAX_BINS:
+        raise ValueError(f"n_bins must be in 1..{MAX_BINS}, got {n_bins}")
     if not records:
         raise ValueError("records must be non-empty")
     for record in records:

@@ -27,6 +27,7 @@ from .aligner import (
 )
 from .calibration import (
     DEFAULT_BINS,
+    MAX_BINS,
     confidence_by_iteration,
     expected_calibration_error,
     fill_correctness,
@@ -49,7 +50,7 @@ from .corpus_io import (
     write_alignments,
     write_token_lines,
 )
-from .errors import DistillensError, ValidationError
+from .errors import DistillensError, FormatError, ValidationError
 from .preorder import monotone_preorder
 from .selection import COMPLEXITY_KINDS, SelectionConfig, score_hypotheses
 
@@ -76,6 +77,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _nonempty(records, path: str, what: str):
+    """Return records, or reject the file they came from for holding none."""
+    if not records:
+        raise FormatError(f"holds no {what}", path=path)
+    return records
+
+
+def _read_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
+    return _nonempty(read_parallel_corpus(src_path, tgt_path), src_path, "sentences")
+
+
 def _train_and_align(
     corpus: ParallelCorpus, iterations: int, prefix: str
 ) -> tuple[TranslationTable, list[Alignment]]:
@@ -96,7 +108,7 @@ def _train_and_align(
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
-    corpus = read_parallel_corpus(args.src, args.tgt)
+    corpus = _read_corpus(args.src, args.tgt)
     table, alignments = _train_and_align(corpus, args.iters, "")
     write_alignments(alignments, args.out)
     if args.table:
@@ -127,11 +139,11 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
         args.parser.error(
             "--real-src, --real-tgt and --real-align must be given together"
         )
-    corpus = read_parallel_corpus(args.src, args.tgt)
+    corpus = _read_corpus(args.src, args.tgt)
     alignments = read_alignments(args.align, corpus)
     reference_table = None
     if args.real_src is not None:
-        real_corpus = read_parallel_corpus(args.real_src, args.real_tgt)
+        real_corpus = _read_corpus(args.real_src, args.real_tgt)
         real_alignments = read_alignments(args.real_align, real_corpus)
         reference_table = conditional_distribution(real_corpus, real_alignments)
     report = compute_report(
@@ -224,7 +236,7 @@ def _cmd_preorder(args: argparse.Namespace) -> None:
 def _cmd_calibrate(args: argparse.Namespace) -> None:
     if (args.hyp is None) != (args.ref is None):
         args.parser.error("--hyp and --ref must be given together")
-    records = read_token_predictions(args.preds)
+    records = _nonempty(read_token_predictions(args.preds), args.preds, "token predictions")
     if args.hyp is not None:
         hypotheses = dict(enumerate(read_token_lines(args.hyp)))
         references = dict(enumerate(read_token_lines(args.ref)))
@@ -245,15 +257,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
 
 
 def _cmd_attn(args: argparse.Namespace) -> None:
-    records = read_attention(args.attn)
+    records = _nonempty(read_attention(args.attn), args.attn, "attention records")
     curve = confidence_by_iteration(records)
     rows = [[iteration, _cell(value)] for iteration, value in curve.items()]
     _write_csv(["iteration", "mean_confidence"], rows, args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    real = read_parallel_corpus(args.real_src, args.real_tgt)
-    distilled = read_parallel_corpus(args.distilled_src, args.distilled_tgt)
+    real = _read_corpus(args.real_src, args.real_tgt)
+    distilled = _read_corpus(args.distilled_src, args.distilled_tgt)
     if args.real_align:
         real_alignments = read_alignments(args.real_align, real)
     else:
@@ -295,6 +307,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _bin_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_BINS}, got {value}")
     return value
 
 
@@ -423,9 +442,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_calibrate.add_argument(
         "--bins",
-        type=_positive_int,
+        type=_bin_count,
         default=DEFAULT_BINS,
-        help="number of equal-width bins (default %(default)s)",
+        help=f"number of equal-width bins, at most {MAX_BINS} (default %(default)s)",
     )
     p_calibrate.add_argument("--out", required=True, help="output JSON report")
     p_calibrate.set_defaults(func=_cmd_calibrate, parser=p_calibrate)

@@ -481,17 +481,26 @@ def read_attention(path: str) -> list[AttentionRecord]:
                 width = len(row)
             elif len(row) != width:
                 raise FormatError("attention rows must all have the same length")
-            values = []
-            for value in row:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise FormatError("attention weights must be numbers")
+            # whole-row checks at C speed; a row that fails them goes
+            # through the per-weight loop, which names the first bad weight
+            values = None
+            if {int, float}.issuperset(map(type, row)):
                 try:
-                    finite = math.isfinite(value)
-                except OverflowError:  # a JSON integer too large for a float
-                    raise FormatError("attention weight is too large") from None
-                if not (finite and value >= 0.0):
-                    raise FormatError(f"attention weight {value} must be finite and >= 0")
-                values.append(float(value))
+                    values = list(map(float, row))
+                except OverflowError:  # named by the per-weight loop
+                    pass
+            if values is None or not (min(values) >= 0.0 and math.isfinite(sum(values))):
+                values = []
+                for value in row:
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise FormatError("attention weights must be numbers")
+                    try:
+                        finite = math.isfinite(value)
+                    except OverflowError:  # a JSON integer too large for a float
+                        raise FormatError("attention weight is too large") from None
+                    if not (finite and value >= 0.0):
+                        raise FormatError(f"attention weight {value} must be finite and >= 0")
+                    values.append(float(value))
             total = sum(values)
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 raise FormatError(

@@ -18,6 +18,7 @@ from distillens import (
     fill_correctness,
     token_accuracy,
 )
+from distillens.calibration import MAX_BINS, _edit_distance
 
 
 def _record(weights, sentence_id=0, iteration=1, head=0):
@@ -32,6 +33,54 @@ def _token_pairs(draw):
     alphabet = "abc"[: draw(st.integers(1, 3))]
     tokens = st.lists(st.sampled_from(alphabet), max_size=6)
     return draw(tokens), draw(tokens)
+
+
+@st.composite
+def _long_token_pairs(draw):
+    """A hypothesis and a reference of 0-40 tokens over 1-4 symbols."""
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=40)
+    return draw(tokens), draw(tokens)
+
+
+def _full_table_token_accuracy(hypothesis, reference):
+    """token_accuracy as it was before the band: every cell of the table."""
+    hyp = list(hypothesis)
+    ref = list(reference)
+    n_hyp = len(hyp)
+    n_ref = len(ref)
+    if n_hyp == 0:
+        return []
+    below = [(n_ref - j, 0, 0) for j in range(n_ref + 1)]
+    for i in range(n_hyp - 1, -1, -1):
+        token = hyp[i]
+        bit = 1 << (n_hyp - 1 - i)
+        row = [(0, 0, 0)] * n_ref + [(n_hyp - i, 0, 0)]
+        for j in range(n_ref - 1, -1, -1):
+            if token == ref[j]:
+                cost, neg_matches, neg_mask = below[j + 1]
+                match = (cost, neg_matches - 1, neg_mask - bit)
+                cost, neg_matches, neg_mask = min(below[j], row[j + 1])
+                row[j] = min(match, (cost + 1, neg_matches, neg_mask))
+            else:
+                cost, neg_matches, neg_mask = min(below[j + 1], below[j], row[j + 1])
+                row[j] = (cost + 1, neg_matches, neg_mask)
+        below = row
+    mask = -below[0][2]
+    return [bool(mask >> (n_hyp - 1 - p) & 1) for p in range(n_hyp)]
+
+
+def _levenshtein(a, b):
+    """Textbook unit-cost edit distance, one row at a time."""
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        current = [i]
+        for j, y in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (x != y))
+            )
+        previous = current
+    return previous[-1]
 
 
 def _pred(probability, correct, sentence_id=0, position=0):
@@ -146,6 +195,38 @@ class TestTokenAccuracy:
         hyp, ref = pair
         assert token_accuracy(hyp, ref) == brute(hyp, ref)
 
+    @settings(max_examples=300)
+    @given(_long_token_pairs())
+    def test_band_matches_full_table(self, pair):
+        """The banded pass gives the labels of the full-table pass."""
+        hyp, ref = pair
+        assert token_accuracy(hyp, ref) == _full_table_token_accuracy(hyp, ref)
+
+    @settings(max_examples=300)
+    @given(_long_token_pairs())
+    def test_edit_distance_matches_levenshtein(self, pair):
+        hyp, ref = pair
+        assert _edit_distance(hyp, ref) == _levenshtein(hyp, ref)
+
+    def test_long_identical(self):
+        tokens = [f"w{k % 7}" for k in range(150)]
+        assert _edit_distance(tokens, tokens) == 0
+        assert token_accuracy(tokens, list(tokens)) == [True] * 150
+
+    def test_long_unrelated(self):
+        hyp = [f"h{k}" for k in range(90)]
+        ref = [f"r{k}" for k in range(130)]
+        assert _edit_distance(hyp, ref) == 130
+        assert token_accuracy(hyp, ref) == [False] * 90
+
+    def test_one_side_empty(self):
+        tokens = list("abcab")
+        assert _edit_distance(tokens, []) == 5
+        assert _edit_distance([], tokens) == 5
+        assert _edit_distance([], []) == 0
+        assert token_accuracy(tokens, []) == [False] * 5
+        assert token_accuracy([], tokens) == []
+
 
 class TestExpectedCalibrationError:
     def test_perfectly_calibrated(self):
@@ -205,6 +286,10 @@ class TestExpectedCalibrationError:
             expected_calibration_error([_pred(0.5, True)], n_bins=0)
         with pytest.raises(ValueError):
             expected_calibration_error([])
+
+    def test_bins_above_limit_rejected(self):
+        with pytest.raises(ValueError, match=f"1..{MAX_BINS}"):
+            expected_calibration_error([_pred(0.5, True)], n_bins=MAX_BINS + 1)
 
     def test_overall_means(self):
         records = [

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from distillens.calibration import MAX_BINS
 from distillens.cli import run
 
 
@@ -264,6 +265,44 @@ class TestUndecodableInput:
         assert set(tmp_path.iterdir()) == inputs
 
 
+# runs in which one input holds no records; E.* are empty files, and the
+# first of them on the command line is the file the error must name
+_EMPTY_RUNS = {
+    "align": "align --src E.src --tgt E.tgt --out OUT",
+    "metrics": "metrics --src E.src --tgt E.tgt --align E.aln --out OUT",
+    "metrics-real": "metrics --src S --tgt T --align A "
+    "--real-src E.src --real-tgt E.tgt --real-align E.aln --out OUT",
+    "report-real": "report --real-src E.src --real-tgt E.tgt "
+    "--distilled-src S --distilled-tgt T --out OUT",
+    "report-distilled": "report --real-src S --real-tgt T "
+    "--distilled-src E.src --distilled-tgt E.tgt --out OUT",
+    "report-aligned": "report --real-src S --real-tgt T --real-align A "
+    "--distilled-src E.src --distilled-tgt E.tgt --distilled-align E.aln --out OUT",
+    "calibrate": "calibrate --preds E.jsonl --out OUT",
+    "calibrate-fill": "calibrate --preds E.jsonl --hyp S --ref T --out OUT",
+    "attn": "attn --attn E.jsonl --out OUT",
+}
+
+
+class TestEmptyInput:
+    """An input that holds no records is a one-line error naming its file."""
+
+    @pytest.mark.parametrize("case", sorted(_EMPTY_RUNS))
+    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, case):
+        src, tgt, aln = corpus_files
+        files = {"S": src, "T": tgt, "A": aln, "OUT": str(tmp_path / "out")}
+        for name in ("E.src", "E.tgt", "E.aln", "E.jsonl"):
+            files[name] = _write(tmp_path / name, "")
+        words = _EMPTY_RUNS[case].split()
+        empty = files[next(word for word in words if word.startswith("E."))]
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"distillens: {empty}: holds no ")
+        assert err.count("\n") == 1
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files
@@ -445,6 +484,20 @@ class TestCalibrate:
         code = run(["calibrate", "--preds", preds, "--out", str(tmp_path / "o.json")])
         assert code == 1
         assert "correct" in capsys.readouterr().err
+
+    def test_bins_limit(self, tmp_path, capsys):
+        preds = self._preds(tmp_path)
+        hyp = _write(tmp_path / "h", "a x c\n")
+        ref = _write(tmp_path / "r", "a b c\n")
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref,
+                "--out", str(out), "--bins"]
+        assert run(argv + [str(MAX_BINS + 1)]) == 2
+        assert f"--bins: must be <= {MAX_BINS}, got {MAX_BINS + 1}" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv + [str(MAX_BINS)]) == 0
+        assert json.loads(out.read_text())["n_bins"] == MAX_BINS
+        capsys.readouterr()
 
     def test_hyp_requires_ref(self, tmp_path, capsys):
         preds = self._preds(tmp_path)
