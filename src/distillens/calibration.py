@@ -307,7 +307,7 @@ def fill_correctness(
             raise ValidationError(
                 f"no reference for sentence {sid} referenced by a prediction"
             )
-        hyp = list(hypotheses[sid])
+        hyp = hypotheses[sid]
         if sid not in flags:
             flags[sid] = token_accuracy(hyp, references[sid])
         if record.position >= len(hyp):

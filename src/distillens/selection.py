@@ -15,13 +15,14 @@ that is constant across the list maps to 0.5 for every entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
 from typing import Sequence
 
-from .aligner import TranslationTable, viterbi_align, word_alignment_score
-from .complexity import sentence_frs
-from .corpus_io import KBestEntry, KBestList, SentencePair
+from .aligner import TranslationTable, _best_link
+from .complexity import _chunk_frs
+from .corpus_io import KBestEntry, KBestList
 
 __all__ = [
     "COMPLEXITY_KINDS",
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 COMPLEXITY_KINDS = ("frs", "walign", "nmt")
+
+MAX_NGRAM = 4
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,43 @@ class ScoredHypothesis:
     total: float
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], int]:
-    counts: dict[tuple[str, ...], int] = {}
-    for start in range(len(tokens) - n + 1):
-        gram = tuple(tokens[start : start + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+def _reference_counts(reference: Sequence[str], max_ngram: int) -> list[Counter]:
+    """The reference's n-gram counts for n = 1..max_ngram."""
+    if not reference:
+        raise ValueError("reference must be non-empty")
+    return [_ngram_counts(reference, n) for n in range(1, max_ngram + 1)]
+
+
+def _bleu(hypothesis: Sequence[str], ref_len: int, ref_counts: list[Counter]) -> float:
+    """smoothed_sentence_bleu against a reference given by its length and counts."""
+    if not hypothesis:
+        return 0.0
+    max_ngram = len(ref_counts)
+    log_precision_sum = 0.0
+    for n, ref_grams in enumerate(ref_counts, start=1):
+        matches = 0
+        for gram, count in _ngram_counts(hypothesis, n).items():
+            ref_count = ref_grams.get(gram)
+            if ref_count is not None:
+                matches += count if count < ref_count else ref_count
+        total = max(len(hypothesis) - n + 1, 0)
+        if n == 1:
+            if matches == 0:
+                return 0.0
+            log_precision_sum += log(matches / total)
+        else:
+            log_precision_sum += log((matches + 1) / (total + 1))
+    geometric_mean = exp(log_precision_sum / max_ngram)
+    brevity = min(1.0, exp(1.0 - ref_len / len(hypothesis)))
+    return brevity * geometric_mean
 
 
 def smoothed_sentence_bleu(
-    hypothesis: Sequence[str], reference: Sequence[str], max_ngram: int = 4
+    hypothesis: Sequence[str], reference: Sequence[str], max_ngram: int = MAX_NGRAM
 ) -> float:
     """Sentence BLEU with add-one smoothing on n-gram orders above one.
 
@@ -87,27 +117,7 @@ def smoothed_sentence_bleu(
     unigram with the reference scores exactly zero, as does an empty
     hypothesis.
     """
-    if not reference:
-        raise ValueError("reference must be non-empty")
-    if not hypothesis:
-        return 0.0
-    log_precision_sum = 0.0
-    for n in range(1, max_ngram + 1):
-        hyp_counts = _ngram_counts(hypothesis, n)
-        ref_counts = _ngram_counts(reference, n)
-        matches = sum(
-            min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
-        )
-        total = max(len(hypothesis) - n + 1, 0)
-        if n == 1:
-            if matches == 0:
-                return 0.0
-            log_precision_sum += log(matches / total)
-        else:
-            log_precision_sum += log((matches + 1) / (total + 1))
-    geometric_mean = exp(log_precision_sum / max_ngram)
-    brevity = min(1.0, exp(1.0 - len(reference) / len(hypothesis)))
-    return brevity * geometric_mean
+    return _bleu(hypothesis, len(reference), _reference_counts(reference, max_ngram))
 
 
 def min_max_normalize(values: Sequence[float]) -> list[float]:
@@ -120,24 +130,47 @@ def min_max_normalize(values: Sequence[float]) -> list[float]:
     return [(value - low) / span for value in values]
 
 
-def _complexity_raw(
-    hypothesis: tuple[str, ...],
+def _complexity_raws(
+    entries: Sequence[KBestEntry],
     source: Sequence[str],
-    entry: KBestEntry,
     config: SelectionConfig,
     table: TranslationTable | None,
-) -> float:
-    if config.complexity_kind == "nmt":
-        return entry.nmt_logprob
+) -> list[float]:
+    """Raw complexity of each entry against the list's one source.
+
+    ``walign`` and ``frs`` score the Viterbi alignment of each hypothesis
+    without building it: Viterbi links every target token to exactly one
+    winner, so ``word_alignment_score`` is the sum of the winners' floored
+    log probabilities, and ``sentence_frs`` reduces to the chunk count
+    over the non-NULL winners. The source is the same for the whole
+    list, so each target word's winner is found once.
+    """
+    kind = config.complexity_kind
+    if kind == "nmt":
+        return [entry.nmt_logprob for entry in entries]
     if table is None:
-        raise ValueError(
-            f"complexity kind {config.complexity_kind!r} needs a translation table"
-        )
-    pair = SentencePair(tuple(source), hypothesis)
-    alignment = viterbi_align(pair, table)
-    if config.complexity_kind == "frs":
-        return sentence_frs(alignment, len(hypothesis))
-    return word_alignment_score(pair, alignment, table)
+        raise ValueError(f"complexity kind {kind!r} needs a translation table")
+    best_link = _best_link(source, table)
+    memo: dict[str, tuple[int | None, float]] = {}
+    raws = []
+    for entry in entries:
+        links = []
+        for y in entry.hypothesis:
+            link = memo.get(y)
+            if link is None:
+                link = memo[y] = best_link(y)
+            links.append(link)
+        if kind == "walign":
+            # a plain loop, not sum(): sum() compensates floats on Python 3.12+
+            total = 0.0
+            for _, prob in links:
+                total += log(prob)
+            raws.append(total)
+        else:
+            if not links:
+                raise ValueError("target_length must be >= 1, got 0")
+            raws.append(_chunk_frs([i for i, _ in links if i is not None]))
+    return raws
 
 
 def score_hypotheses(
@@ -150,13 +183,9 @@ def score_hypotheses(
     """Score every entry of one k-best list, preserving list order."""
     if not kbest.entries:
         raise ValueError(f"k-best list for sentence {kbest.sentence_id} is empty")
-    sims = [
-        smoothed_sentence_bleu(entry.hypothesis, reference) for entry in kbest.entries
-    ]
-    raws = [
-        _complexity_raw(entry.hypothesis, source, entry, config, table)
-        for entry in kbest.entries
-    ]
+    ref_counts = _reference_counts(reference, MAX_NGRAM)
+    sims = [_bleu(entry.hypothesis, len(reference), ref_counts) for entry in kbest.entries]
+    raws = _complexity_raws(kbest.entries, source, config, table)
     sim_norms = min_max_normalize(sims)
     cxty_norms = min_max_normalize(raws)
     scored = []

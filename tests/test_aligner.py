@@ -312,3 +312,46 @@ class TestTableSerialization:
         path.write_text("a\tx\n")
         with pytest.raises(FormatError):
             read_table(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tx\t0.5\nb\ty\tnan\n", "line 2: probability must be finite and >= 0, got nan"),
+            ("a\tx\t0.5\nb\ty\tinf\n", "line 2: probability must be finite and >= 0, got inf"),
+            ("a\tx\t0.5\nb\ty\t1e999\n", "line 2: probability must be finite and >= 0, got 1e999"),
+            ("a\tx\t0.5\nb\ty\t-1\n", "line 2: probability must be finite and >= 0, got -1"),
+            ("a\tx\t0.5\nb\ty\n", "line 2: expected `source<TAB>target<TAB>probability`"),
+            ("a\tx\t0.5\nb\ty\t0.5\tz\n", "line 2: expected `source<TAB>target<TAB>probability`"),
+            ("a\tx\t0.5\nb\ty\t0.5\t\n", "line 2: expected `source<TAB>target<TAB>probability`"),
+            ("a\tx\tabc\n", "line 1: unparsable probability 'abc'"),
+            ("a\tx\t\n", "line 1: unparsable probability ''"),
+        ],
+    )
+    def test_bad_row_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError) as info:
+            read_table(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            # blank lines are skipped; a later row for (x, y) replaces the
+            # value but keeps the first position; rows keep file order
+            ("b\tx\t0.5\n\na\ty\t0.25\nb\tz\t0.125\nb\tx\t0.75\n",
+             [("b", [("x", 0.75), ("z", 0.125)]), ("a", [("y", 0.25)])]),
+            ("a\tx\t0.5\r\nb\ty\t0.25\r\na\tz\t0.125", [("a", [("x", 0.5), ("z", 0.125)]), ("b", [("y", 0.25)])]),
+            ("a\tx\t 0.5 \n", [("a", [("x", 0.5)])]),
+        ],
+    )
+    def test_good_rows_in_file_order(self, tmp_path, text, rows):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(text.encode())
+        assert [(x, list(row.items())) for x, row in read_table(str(path)).probs.items()] == rows
+
+    def test_negative_zero_accepted(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("a\tx\t-0.0\n")
+        p = read_table(str(path)).probs["a"]["x"]
+        assert p == 0.0 and math.copysign(1.0, p) == -1.0

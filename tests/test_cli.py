@@ -42,6 +42,24 @@ class TestExitCodes:
         assert run(["--help"]) == 0
         assert "align" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["align", "--src", "s", "--tgt", "t", "--out", "o", "--iters"],
+            ["calibrate", "--preds", "p", "--out", "o", "--bins"],
+            ["attn", "--attn", "a", "--out", "o", "--threads"],
+        ],
+    )
+    def test_count_flags_name_the_bad_value(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv + ["x"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: expected an integer, got 'x'" in err
+        assert "invalid" not in err
+        assert run(argv + ["0"]) == 2
+        assert f"argument {argv[-1]}: must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         out = str(tmp_path / "curve.csv")
         assert run(["attn", "--attn", str(tmp_path / "nope"), "--out", out]) == 2
