@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .corpus_io import Alignment, ParallelCorpus, SentencePair, _read_lines, atomic_write
 from .errors import FormatError
@@ -154,25 +154,22 @@ def corpus_log_likelihood(corpus: ParallelCorpus, table: TranslationTable) -> fl
     return total
 
 
-def _best_link(
-    source: Sequence[str], table: TranslationTable
-) -> Callable[[str], tuple[int | None, float]]:
-    """The Viterbi choice for one target word against a fixed source.
+def viterbi_align(pair: SentencePair, table: TranslationTable) -> Alignment:
+    """Link each target token to its most probable source word.
 
-    The returned function maps a target word to its winning source index
-    (None for NULL) and the winner's probability, floored at PROB_FLOOR.
     NULL occupies position zero of the extended source sentence, so on
     exact ties the smallest index wins: NULL beats every real position,
-    and earlier real positions beat later ones.
+    and earlier real positions beat later ones. Tokens won by NULL are
+    left out of the returned link set.
     """
     # Comparing raw entries against a floored running best is the same
     # as comparing floored entries: an entry at or below PROB_FLOOR can
     # never beat it. A missing row reads as all zeros.
     probs = table.probs
     null_row = probs.get(NULL_TOKEN, {})
-    rows = [probs.get(x, {}) for x in source]
-
-    def best_link(y: str) -> tuple[int | None, float]:
+    rows = [probs.get(x, {}) for x in pair.source]
+    links = set()
+    for j, y in enumerate(pair.target):
         best_index = None
         best_prob = max(null_row.get(y, 0.0), PROB_FLOOR)
         for i, row in enumerate(rows):
@@ -180,24 +177,8 @@ def _best_link(
             if p > best_prob:
                 best_prob = p
                 best_index = i
-        return best_index, best_prob
-
-    return best_link
-
-
-def viterbi_align(pair: SentencePair, table: TranslationTable) -> Alignment:
-    """Link each target token to its most probable source word.
-
-    Ties go to the smallest index of the NULL-extended source (see
-    :func:`_best_link`). Tokens won by NULL are left out of the returned
-    link set.
-    """
-    best_link = _best_link(pair.source, table)
-    links = set()
-    for j, y in enumerate(pair.target):
-        i = best_link(y)[0]
-        if i is not None:
-            links.add((i, j))
+        if best_index is not None:
+            links.add((best_index, j))
     return Alignment(frozenset(links))
 
 
@@ -233,34 +214,26 @@ def read_table(path: str) -> TranslationTable:
     probs: dict[str, dict[str, float]] = {}
 
     def parse_line(raw: str) -> None:
-        # fast path for a well-formed row; anything else goes through
-        # the checks below, which name the fault
+        # the line's "\n" stays on the last field until a message needs it gone
         try:
             x, y, raw_prob = raw.split("\t")
-            p = float(raw_prob)
         except ValueError:
-            p = math.nan
-        if 0.0 <= p < math.inf:
-            row = probs.get(x)
-            if row is None:
-                probs[x] = {y: p}
-            else:
-                row[y] = p
-            return
-        line = raw.rstrip("\n")
-        if not line:
-            return
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError("expected `source<TAB>target<TAB>probability`")
-        x, y, raw_prob = parts
+            if not raw.rstrip("\n"):
+                return
+            raise FormatError("expected `source<TAB>target<TAB>probability`") from None
         try:
             p = float(raw_prob)
         except ValueError:
-            raise FormatError(f"unparsable probability {raw_prob!r}") from None
-        if not (math.isfinite(p) and p >= 0.0):
-            raise FormatError(f"probability must be finite and >= 0, got {raw_prob}")
-        probs.setdefault(x, {})[y] = p
+            shown = raw_prob.rstrip("\n")
+            raise FormatError(f"unparsable probability {shown!r}") from None
+        if not 0.0 <= p < math.inf:
+            shown = raw_prob.rstrip("\n")
+            raise FormatError(f"probability must be finite and >= 0, got {shown}")
+        row = probs.get(x)
+        if row is None:
+            probs[x] = {y: p}
+        else:
+            row[y] = p
 
     _read_lines(path, parse_line)
     return TranslationTable(probs)

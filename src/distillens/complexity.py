@@ -91,11 +91,7 @@ def sentence_frs(alignment: Alignment, target_length: int) -> float:
     if target_length < 1:
         raise ValueError(f"target_length must be >= 1, got {target_length}")
     alignment.validate(target_length=target_length)
-    return _chunk_frs(list(alignment.leftmost_by_target().values()))
-
-
-def _chunk_frs(reduced: Sequence[int]) -> float:
-    """FRS of the source indices of the aligned target positions, in target order."""
+    reduced = list(alignment.leftmost_by_target().values())
     if len(reduced) <= 1:
         return 1.0
     chunks = 1

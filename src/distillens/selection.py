@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from math import exp, log
 from typing import Sequence
 
-from .aligner import TranslationTable, _best_link
-from .complexity import _chunk_frs
-from .corpus_io import KBestEntry, KBestList
+from .aligner import TranslationTable, viterbi_align, word_alignment_score
+from .complexity import sentence_frs
+from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair
 
 __all__ = [
     "COMPLEXITY_KINDS",
@@ -78,6 +78,8 @@ def _reference_counts(reference: Sequence[str], max_ngram: int) -> list[Counter]
     """The reference's n-gram counts for n = 1..max_ngram."""
     if not reference:
         raise ValueError("reference must be non-empty")
+    if max_ngram < 1:
+        raise ValueError(f"max_ngram must be >= 1, got {max_ngram}")
     return [_ngram_counts(reference, n) for n in range(1, max_ngram + 1)]
 
 
@@ -138,38 +140,30 @@ def _complexity_raws(
 ) -> list[float]:
     """Raw complexity of each entry against the list's one source.
 
-    ``walign`` and ``frs`` score the Viterbi alignment of each hypothesis
-    without building it: Viterbi links every target token to exactly one
-    winner, so ``word_alignment_score`` is the sum of the winners' floored
-    log probabilities, and ``sentence_frs`` reduces to the chunk count
-    over the non-NULL winners. The source is the same for the whole
-    list, so each target word's winner is found once.
+    ``walign`` and ``frs`` score each hypothesis's Viterbi alignment. A
+    target token's Viterbi link depends only on its word and the source,
+    and the source is the same for the whole list, so Viterbi runs once,
+    over the list's distinct target words, and each hypothesis's
+    alignment is read off that.
     """
     kind = config.complexity_kind
     if kind == "nmt":
         return [entry.nmt_logprob for entry in entries]
     if table is None:
         raise ValueError(f"complexity kind {kind!r} needs a translation table")
-    best_link = _best_link(source, table)
-    memo: dict[str, tuple[int | None, float]] = {}
+    source = tuple(source)
+    words = tuple(dict.fromkeys(y for entry in entries for y in entry.hypothesis))
+    winner = {words[j]: i for i, j in viterbi_align(SentencePair(source, words), table).links}
     raws = []
     for entry in entries:
-        links = []
-        for y in entry.hypothesis:
-            link = memo.get(y)
-            if link is None:
-                link = memo[y] = best_link(y)
-            links.append(link)
-        if kind == "walign":
-            # a plain loop, not sum(): sum() compensates floats on Python 3.12+
-            total = 0.0
-            for _, prob in links:
-                total += log(prob)
-            raws.append(total)
+        target = entry.hypothesis
+        alignment = Alignment(
+            frozenset((winner[y], j) for j, y in enumerate(target) if y in winner)
+        )
+        if kind == "frs":
+            raws.append(sentence_frs(alignment, len(target)))
         else:
-            if not links:
-                raise ValueError("target_length must be >= 1, got 0")
-            raws.append(_chunk_frs([i for i, _ in links if i is not None]))
+            raws.append(word_alignment_score(SentencePair(source, target), alignment, table))
     return raws
 
 

@@ -47,6 +47,12 @@ class TestSmoothedSentenceBleu:
         with pytest.raises(ValueError):
             smoothed_sentence_bleu(["a"], [])
 
+    @pytest.mark.parametrize("max_ngram", [0, -1])
+    @pytest.mark.parametrize("hypothesis", [["a"], []])
+    def test_max_ngram_below_one_rejected(self, hypothesis, max_ngram):
+        with pytest.raises(ValueError, match=f"max_ngram must be >= 1, got {max_ngram}"):
+            smoothed_sentence_bleu(hypothesis, ["a"], max_ngram)
+
     def test_brevity_penalty_short_hypothesis(self):
         score = smoothed_sentence_bleu(["a"], ["a", "a", "a", "a"], max_ngram=1)
         assert score == pytest.approx(math.exp(1 - 4 / 1), abs=1e-12)
