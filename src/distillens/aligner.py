@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import intern
 from typing import Callable
 
 from .corpus_io import Alignment, ParallelCorpus, SentencePair, _read_lines, atomic_write
@@ -210,10 +211,17 @@ def write_table(table: TranslationTable, path: str) -> None:
 
 
 def read_table(path: str) -> TranslationTable:
-    """Read a table written by :func:`write_table`."""
+    """Read a table written by :func:`write_table`.
+
+    Each distinct target word is stored once (``sys.intern``) and shared by
+    every row that holds it.
+    """
     probs: dict[str, dict[str, float]] = {}
+    last_x: str | None = None
+    row: dict[str, float] = {}
 
     def parse_line(raw: str) -> None:
+        nonlocal last_x, row
         # the line's "\n" stays on the last field until a message needs it gone
         try:
             x, y, raw_prob = raw.split("\t")
@@ -229,11 +237,15 @@ def read_table(path: str) -> TranslationTable:
         if not 0.0 <= p < math.inf:
             shown = raw_prob.rstrip("\n")
             raise FormatError(f"probability must be finite and >= 0, got {shown}")
-        row = probs.get(x)
-        if row is None:
-            probs[x] = {y: p}
-        else:
-            row[y] = p
+        # write_table keeps each source word's rows together, so the row
+        # is looked up once per run of lines; a word that comes back later
+        # still finds its dict
+        if x != last_x:
+            last_x = x
+            row = probs.get(x)
+            if row is None:
+                row = probs[x] = {}
+        row[intern(y)] = p
 
     _read_lines(path, parse_line)
     return TranslationTable(probs)

@@ -30,7 +30,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ValidationError
@@ -160,7 +160,9 @@ class TokenPredictionRecord:
     correct: bool | None = None
 
     def with_correct(self, correct: bool) -> "TokenPredictionRecord":
-        return replace(self, correct=correct)
+        return TokenPredictionRecord(
+            self.sentence_id, self.position, self.token, self.probability, correct
+        )
 
 
 @dataclass(frozen=True)
@@ -489,7 +491,9 @@ def read_attention(path: str) -> list[AttentionRecord]:
                     values = list(map(float, row))
                 except OverflowError:  # named by the per-weight loop
                     pass
-            if values is None or not (min(values) >= 0.0 and math.isfinite(sum(values))):
+                else:
+                    total = sum(values)
+            if values is None or not (min(values) >= 0.0 and math.isfinite(total)):
                 values = []
                 for value in row:
                     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -501,7 +505,7 @@ def read_attention(path: str) -> list[AttentionRecord]:
                     if not (finite and value >= 0.0):
                         raise FormatError(f"attention weight {value} must be finite and >= 0")
                     values.append(float(value))
-            total = sum(values)
+                total = sum(values)
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 raise FormatError(
                     f"attention row sums to {total!r}, more than "

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +350,22 @@ class TestTableSerialization:
         path = tmp_path / "table.tsv"
         path.write_bytes(text.encode())
         assert [(x, list(row.items())) for x, row in read_table(str(path)).probs.items()] == rows
+
+    def test_target_word_stored_once(self, tmp_path):
+        # a word no literal in this module spells, so only read_table can
+        # have interned it
+        word = "-".join(["shared", "wörd"])
+        path = tmp_path / "table.tsv"
+        lines = [f"a\t{word}\t0.5", f"b\t{word}\t0.25", "", "b\tz\t0.75", "a\tz\t0.5", f"c\t{word}\t1.0"]
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        probs = read_table(str(path)).probs
+        keys = [next(k for k in probs[x] if k == word) for x in ("a", "b", "c")]
+        assert keys[0] is keys[1] is keys[2] is sys.intern(word)
+        assert [(x, list(row.items())) for x, row in probs.items()] == [
+            ("a", [(word, 0.5), ("z", 0.5)]),
+            ("b", [(word, 0.25), ("z", 0.75)]),
+            ("c", [(word, 1.0)]),
+        ]
 
     def test_negative_zero_accepted(self, tmp_path):
         path = tmp_path / "table.tsv"
