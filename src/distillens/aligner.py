@@ -24,7 +24,6 @@ from .errors import FormatError
 
 __all__ = [
     "NULL_TOKEN",
-    "PROB_FLOOR",
     "TranslationTable",
     "train_ibm1",
     "viterbi_align",

@@ -14,7 +14,7 @@ format them at display time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .corpus_io import AttentionRecord, TokenPredictionRecord
@@ -66,20 +66,8 @@ class CalibrationReport:
         return sum(b.count for b in self.bins)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "confidence": self.confidence,
-            "ece": self.ece,
-            "n_bins": len(self.bins),
-            "bins": [
-                {
-                    "count": b.count,
-                    "mean_confidence": b.mean_confidence,
-                    "mean_accuracy": b.mean_accuracy,
-                }
-                for b in self.bins
-            ],
-        }
+        payload = asdict(self)
+        return {**payload, "n_bins": len(self.bins), "bins": list(payload["bins"])}
 
 
 def attention_confidence(

@@ -16,7 +16,8 @@ import argparse
 import csv
 import json
 import sys
-from typing import Sequence
+from dataclasses import astuple, fields
+from typing import Iterable, Sequence
 
 from .aligner import (
     TranslationTable,
@@ -34,6 +35,8 @@ from .calibration import (
 )
 from .complexity import (
     DEFAULT_SMOOTHING,
+    ComplexityReport,
+    check_smoothing,
     compute_report,
     conditional_distribution,
 )
@@ -52,7 +55,7 @@ from .corpus_io import (
 )
 from .errors import DistillensError, FormatError, ValidationError
 from .preorder import monotone_preorder
-from .selection import COMPLEXITY_KINDS, SelectionConfig, score_hypotheses
+from .selection import COMPLEXITY_KINDS, SelectionConfig, _best_rank, score_hypotheses
 
 __all__ = ["run", "main"]
 
@@ -63,18 +66,12 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _write_csv(header: Sequence[str], rows: Sequence[Sequence], path: str) -> None:
+def _write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str) -> None:
+    """Write a CSV; csv.writer gives floats their shortest round-trip form."""
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _cell(value) -> str:
-    """Floats keep their shortest round-trip form; everything else is str()."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _nonempty(records, path: str, what: str):
@@ -103,6 +100,26 @@ def _train_and_align(
     return table, [viterbi_align(pair, table) for pair in corpus]
 
 
+def _alignments(
+    corpus: ParallelCorpus, path: str | None, iterations: int, prefix: str
+) -> list[Alignment]:
+    """The corpus's alignments: read from path when given, else trained by EM."""
+    if path:
+        return read_alignments(path, corpus)
+    return _train_and_align(corpus, iterations, prefix)[1]
+
+
+def _write_reports(
+    payload: dict, reports: dict[str, ComplexityReport], args: argparse.Namespace
+) -> None:
+    """Write the JSON payload and, with --csv, one row per named report."""
+    _write_json(payload, args.out)
+    if args.csv:
+        header = ["corpus", *(field.name for field in fields(ComplexityReport))]
+        rows = ([name, *astuple(report)] for name, report in reports.items())
+        _write_csv(header, rows, args.csv)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -115,30 +132,13 @@ def _cmd_align(args: argparse.Namespace) -> None:
         write_table(table, args.table)
 
 
-def _metrics_rows(reports: dict[str, dict]) -> list[list[str]]:
-    rows = []
-    for name, payload in reports.items():
-        rows.append(
-            [
-                name,
-                _cell(payload["frs"]),
-                _cell(payload["lexical_diversity"]),
-                _cell(payload["faithfulness"]),
-                _cell(payload["sentence_count"]),
-            ]
-        )
-    return rows
-
-
-_METRICS_HEADER = ["corpus", "frs", "lexical_diversity", "faithfulness", "sentence_count"]
-
-
 def _cmd_metrics(args: argparse.Namespace) -> None:
     real_flags = [args.real_src, args.real_tgt, args.real_align]
     if any(flag is not None for flag in real_flags) and None in real_flags:
         args.parser.error(
             "--real-src, --real-tgt and --real-align must be given together"
         )
+    check_smoothing(args.alpha)
     corpus = _read_corpus(args.src, args.tgt)
     alignments = read_alignments(args.align, corpus)
     reference_table = None
@@ -149,21 +149,17 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
     report = compute_report(
         corpus, alignments, reference_table=reference_table, alpha=args.alpha
     )
-    _write_json(report.to_dict(), args.out)
-    if args.csv:
-        _write_csv(
-            _METRICS_HEADER, _metrics_rows({args.src: report.to_dict()}), args.csv
-        )
+    _write_reports(report.to_dict(), {args.src: report}, args)
 
 
 def _cmd_select(args: argparse.Namespace) -> None:
     if args.cxty != "nmt" and args.table is None:
         args.parser.error(f"--cxty {args.cxty} requires --table")
+    config = SelectionConfig(args.lam, args.cxty)
     lists = read_kbest(args.kbest)
     references = read_token_lines(args.ref)
     sources = read_token_lines(args.src)
     table = read_table(args.table) if args.table else None
-    config = SelectionConfig(args.lam, args.cxty)
     # one output line per k-best list, so ids 0..K-1 keep the output
     # line-parallel with the first K lines of --src and --ref
     line_count = min(len(references), len(sources))
@@ -172,7 +168,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
             f"{args.kbest}: k-best sentence ids must be exactly 0..K-1 with "
             f"K <= {line_count}, the line count of {args.ref} and {args.src}"
         )
-    selected_lines = []
+    selected = []
     score_rows = []
     for sentence_id in sorted(lists):
         scored = score_hypotheses(
@@ -182,26 +178,24 @@ def _cmd_select(args: argparse.Namespace) -> None:
             config,
             table,
         )
-        best_rank = max(range(len(scored)), key=lambda rank: scored[rank].total)
-        selected_lines.append(" ".join(scored[best_rank].entry.hypothesis))
+        best_rank = _best_rank(scored)
+        selected.append(scored[best_rank].entry.hypothesis)
         if args.scores:
             for rank, hypothesis in enumerate(scored):
                 score_rows.append(
                     [
                         sentence_id,
                         rank,
-                        _cell(hypothesis.sim),
-                        _cell(hypothesis.sim_norm),
-                        _cell(hypothesis.cxty_raw),
-                        _cell(hypothesis.cxty_norm),
-                        _cell(hypothesis.total),
+                        hypothesis.sim,
+                        hypothesis.sim_norm,
+                        hypothesis.cxty_raw,
+                        hypothesis.cxty_norm,
+                        hypothesis.total,
                         1 if rank == best_rank else 0,
                         " ".join(hypothesis.entry.hypothesis),
                     ]
                 )
-    with atomic_write(args.out) as fh:
-        for line in selected_lines:
-            fh.write(line + "\n")
+    write_token_lines(selected, args.out)
     if args.scores:
         _write_csv(
             [
@@ -259,44 +253,29 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
 def _cmd_attn(args: argparse.Namespace) -> None:
     records = _nonempty(read_attention(args.attn), args.attn, "attention records")
     curve = confidence_by_iteration(records)
-    rows = [[iteration, _cell(value)] for iteration, value in curve.items()]
-    _write_csv(["iteration", "mean_confidence"], rows, args.out)
+    _write_csv(["iteration", "mean_confidence"], curve.items(), args.out)
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
+    check_smoothing(args.alpha)
     real = _read_corpus(args.real_src, args.real_tgt)
     distilled = _read_corpus(args.distilled_src, args.distilled_tgt)
-    if args.real_align:
-        real_alignments = read_alignments(args.real_align, real)
-    else:
-        _, real_alignments = _train_and_align(real, args.iters, "real: ")
-    if args.distilled_align:
-        distilled_alignments = read_alignments(args.distilled_align, distilled)
-    else:
-        _, distilled_alignments = _train_and_align(
-            distilled, args.iters, "distilled: "
-        )
-    real_table = conditional_distribution(real, real_alignments)
-    real_report = compute_report(real, real_alignments, alpha=args.alpha)
-    distilled_report = compute_report(
-        distilled,
-        distilled_alignments,
-        reference_table=real_table,
-        alpha=args.alpha,
+    real_alignments = _alignments(real, args.real_align, args.iters, "real: ")
+    distilled_alignments = _alignments(
+        distilled, args.distilled_align, args.iters, "distilled: "
     )
-    payload = {
-        "real": real_report.to_dict(),
-        "distilled": distilled_report.to_dict(),
+    real_table = conditional_distribution(real, real_alignments)
+    reports = {
+        "real": compute_report(real, real_alignments, alpha=args.alpha),
+        "distilled": compute_report(
+            distilled,
+            distilled_alignments,
+            reference_table=real_table,
+            alpha=args.alpha,
+        ),
     }
-    _write_json(payload, args.out)
-    if args.csv:
-        _write_csv(
-            _METRICS_HEADER,
-            _metrics_rows(
-                {"real": payload["real"], "distilled": payload["distilled"]}
-            ),
-            args.csv,
-        )
+    payload = {name: report.to_dict() for name, report in reports.items()}
+    _write_reports(payload, reports, args)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +300,28 @@ def _bin_count(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    def group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    common = group()
     common.add_argument(
         "--threads",
         type=_positive_int,
         default=None,
         help="accepted for compatibility; has no effect",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved; no subcommand is stochastic",
+    source = group()
+    source.add_argument("--src", required=True, help="source token file")
+    corpus = group(source)
+    corpus.add_argument("--tgt", required=True, help="target token file")
+    aligned = group(corpus)
+    aligned.add_argument("--align", required=True, help="alignment file")
+    smoothing = group()
+    smoothing.add_argument(
+        "--alpha",
+        type=float,
+        default=DEFAULT_SMOOTHING,
+        help="additive smoothing for faithfulness (default %(default)s)",
     )
 
     parser = argparse.ArgumentParser(
@@ -342,28 +331,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_align = sub.add_parser(
+    def command(name, func, help, parents=()) -> argparse.ArgumentParser:
+        command_parser = sub.add_parser(name, parents=[common, *parents], help=help)
+        command_parser.set_defaults(func=func, parser=command_parser)
+        return command_parser
+
+    p_align = command(
         "align",
-        parents=[common],
-        help="train a word-translation table and alignments by EM",
+        _cmd_align,
+        "train a word-translation table and alignments by EM",
+        [corpus],
     )
-    p_align.add_argument("--src", required=True, help="source token file")
-    p_align.add_argument("--tgt", required=True, help="target token file")
     p_align.add_argument(
         "--iters", type=_positive_int, default=10, help="EM iterations (default 10)"
     )
     p_align.add_argument("--out", required=True, help="output alignment file")
     p_align.add_argument("--table", help="also write the table as TSV")
-    p_align.set_defaults(func=_cmd_align, parser=p_align)
 
-    p_metrics = sub.add_parser(
+    p_metrics = command(
         "metrics",
-        parents=[common],
-        help="complexity metrics for one aligned corpus",
+        _cmd_metrics,
+        "complexity metrics for one aligned corpus",
+        [aligned, smoothing],
     )
-    p_metrics.add_argument("--src", required=True, help="source token file")
-    p_metrics.add_argument("--tgt", required=True, help="target token file")
-    p_metrics.add_argument("--align", required=True, help="alignment file")
     p_metrics.add_argument(
         "--real-src", help="source file of the reference (real) corpus"
     )
@@ -373,24 +363,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument(
         "--real-align", help="alignment file of the reference (real) corpus"
     )
-    p_metrics.add_argument(
-        "--alpha",
-        type=float,
-        default=DEFAULT_SMOOTHING,
-        help="additive smoothing for faithfulness (default %(default)s)",
-    )
     p_metrics.add_argument("--out", required=True, help="output JSON report")
     p_metrics.add_argument("--csv", help="also write a one-row CSV")
-    p_metrics.set_defaults(func=_cmd_metrics, parser=p_metrics)
 
-    p_select = sub.add_parser(
+    p_select = command(
         "select",
-        parents=[common],
-        help="pick distilled references from k-best lists",
+        _cmd_select,
+        "pick distilled references from k-best lists",
+        [source],
     )
     p_select.add_argument("--kbest", required=True, help="k-best list file")
     p_select.add_argument("--ref", required=True, help="reference token file")
-    p_select.add_argument("--src", required=True, help="source token file")
     p_select.add_argument(
         "--lambda",
         dest="lam",
@@ -411,28 +394,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", required=True, help="selected hypotheses, one per line"
     )
     p_select.add_argument("--scores", help="also write all per-hypothesis scores as CSV")
-    p_select.set_defaults(func=_cmd_select, parser=p_select)
 
-    p_preorder = sub.add_parser(
+    p_preorder = command(
         "preorder",
-        parents=[common],
-        help="reorder source tokens monotonically with the target",
+        _cmd_preorder,
+        "reorder source tokens monotonically with the target",
+        [aligned],
     )
-    p_preorder.add_argument("--src", required=True, help="source token file")
-    p_preorder.add_argument("--tgt", required=True, help="target token file")
-    p_preorder.add_argument("--align", required=True, help="alignment file")
     p_preorder.add_argument(
         "--out-src", required=True, help="reordered source token file"
     )
     p_preorder.add_argument(
         "--out-align", required=True, help="re-indexed alignment file"
     )
-    p_preorder.set_defaults(func=_cmd_preorder, parser=p_preorder)
 
-    p_calibrate = sub.add_parser(
+    p_calibrate = command(
         "calibrate",
-        parents=[common],
-        help="expected calibration error from token predictions",
+        _cmd_calibrate,
+        "expected calibration error from token predictions",
     )
     p_calibrate.add_argument(
         "--preds", required=True, help="token prediction JSONL file"
@@ -450,21 +429,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"number of equal-width bins, at most {MAX_BINS} (default %(default)s)",
     )
     p_calibrate.add_argument("--out", required=True, help="output JSON report")
-    p_calibrate.set_defaults(func=_cmd_calibrate, parser=p_calibrate)
 
-    p_attn = sub.add_parser(
-        "attn",
-        parents=[common],
-        help="attention confidence per decoding iteration",
+    p_attn = command(
+        "attn", _cmd_attn, "attention confidence per decoding iteration"
     )
     p_attn.add_argument("--attn", required=True, help="attention JSONL file")
     p_attn.add_argument("--out", required=True, help="output CSV curve")
-    p_attn.set_defaults(func=_cmd_attn, parser=p_attn)
 
-    p_report = sub.add_parser(
+    p_report = command(
         "report",
-        parents=[common],
-        help="side-by-side metrics for a real and a distilled corpus",
+        _cmd_report,
+        "side-by-side metrics for a real and a distilled corpus",
+        [smoothing],
     )
     p_report.add_argument("--real-src", required=True, help="real source file")
     p_report.add_argument("--real-tgt", required=True, help="real target file")
@@ -487,15 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=10,
         help="EM iterations when self-aligning (default %(default)s)",
     )
-    p_report.add_argument(
-        "--alpha",
-        type=float,
-        default=DEFAULT_SMOOTHING,
-        help="additive smoothing for faithfulness (default %(default)s)",
-    )
     p_report.add_argument("--out", required=True, help="output JSON comparison")
     p_report.add_argument("--csv", help="also write a two-row CSV")
-    p_report.set_defaults(func=_cmd_report, parser=p_report)
 
     return parser
 

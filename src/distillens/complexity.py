@@ -18,7 +18,7 @@ they refer to; nothing here needs a trained model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus_io import Alignment, ParallelCorpus, check_alignments
@@ -32,10 +32,15 @@ __all__ = [
     "lexical_diversity",
     "faithfulness",
     "compute_report",
-    "DEFAULT_SMOOTHING",
 ]
 
 DEFAULT_SMOOTHING = 0.01
+
+
+def check_smoothing(alpha: float) -> None:
+    """Reject a smoothing constant that is not finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"smoothing constant must be finite and > 0, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,7 @@ class ComplexityReport:
     sentence_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "frs": self.frs,
-            "lexical_diversity": self.lexical_diversity,
-            "faithfulness": self.faithfulness,
-            "sentence_count": self.sentence_count,
-        }
+        return asdict(self)
 
 
 def sentence_frs(alignment: Alignment, target_length: int) -> float:
@@ -156,8 +156,7 @@ def faithfulness(
     corpus misses a target word. A source word absent from the distilled
     table falls back to the uniform distribution over that support.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"smoothing constant must be finite and > 0, got {alpha}")
+    check_smoothing(alpha)
     vocabulary = real_table.vocabulary()
     if not vocabulary:
         raise ValueError("real table has an empty source vocabulary")

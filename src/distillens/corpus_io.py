@@ -58,7 +58,6 @@ __all__ = [
     "write_token_predictions",
     "read_attention",
     "write_attention",
-    "atomic_write",
 ]
 
 ROW_SUM_TOLERANCE = 1e-4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["DistillensError", "FormatError", "ValidationError"]
+
 
 class DistillensError(Exception):
     """Base class for data and domain errors raised by this package."""

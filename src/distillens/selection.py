@@ -25,7 +25,6 @@ from .complexity import sentence_frs
 from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair
 
 __all__ = [
-    "COMPLEXITY_KINDS",
     "SelectionConfig",
     "ScoredHypothesis",
     "smoothed_sentence_bleu",
@@ -191,6 +190,11 @@ def score_hypotheses(
     return scored
 
 
+def _best_rank(scored: Sequence[ScoredHypothesis]) -> int:
+    """Index of the first hypothesis with the highest total."""
+    return max(range(len(scored)), key=lambda rank: scored[rank].total)
+
+
 def select_reference(
     kbest: KBestList,
     reference: Sequence[str],
@@ -200,4 +204,4 @@ def select_reference(
 ) -> KBestEntry:
     """The entry with the highest total; ties keep the best original rank."""
     scored = score_hypotheses(kbest, reference, source, config, table)
-    return max(scored, key=lambda hypothesis: hypothesis.total).entry
+    return scored[_best_rank(scored)].entry

@@ -305,6 +305,21 @@ class TestExpectedCalibrationError:
         assert set(payload) == {"accuracy", "confidence", "ece", "n_bins", "bins"}
         assert payload["n_bins"] == len(payload["bins"]) == 10
 
+    def test_report_dict_values(self):
+        records = [_pred(0.25, True, position=0), _pred(0.75, False, position=1)]
+        payload = expected_calibration_error(records, 2).to_dict()
+        assert payload == {
+            "accuracy": 0.5,
+            "confidence": 0.5,
+            "ece": 0.75,
+            "n_bins": 2,
+            "bins": [
+                {"count": 1, "mean_confidence": 0.25, "mean_accuracy": 1.0},
+                {"count": 1, "mean_confidence": 0.75, "mean_accuracy": 0.0},
+            ],
+        }
+        assert isinstance(payload["bins"], list)
+
 
 class TestAverageConfidence:
     def test_pairs(self):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from distillens import bundled_data_dir
 from distillens.calibration import MAX_BINS
 from distillens.cli import run
 
@@ -13,6 +14,18 @@ def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return str(path)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _assert_cells_match(row, header, payload):
+    """Each cell is str() of its JSON value, which for a float is repr()."""
+    for column, cell in zip(header, row):
+        value = payload[column]
+        assert cell == (repr(value) if isinstance(value, float) else str(value))
 
 
 @pytest.fixture
@@ -370,6 +383,76 @@ class TestMetrics:
         assert json.loads(out.read_text())["faithfulness"] > 1.0
 
 
+class TestMetricsCsv:
+    def test_metrics_cells_are_the_json_values(self, tmp_path):
+        data = bundled_data_dir()
+        out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
+        code = run(
+            ["metrics", "--src", str(data / "distilled.src"),
+             "--tgt", str(data / "distilled.tgt"),
+             "--align", str(data / "distilled.aln"),
+             "--real-src", str(data / "real.src"), "--real-tgt", str(data / "real.tgt"),
+             "--real-align", str(data / "real.aln"),
+             "--out", str(out), "--csv", str(csv_out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        header, row = _csv_rows(csv_out)
+        assert row[0] == str(data / "distilled.src")
+        assert all(isinstance(payload[column], float) for column in header[1:4])
+        _assert_cells_match(row[1:], header[1:], payload)
+
+    def test_report_cells_are_the_json_values(self, tmp_path):
+        data = bundled_data_dir()
+        out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+        code = run(
+            ["report", "--real-src", str(data / "real.src"),
+             "--real-tgt", str(data / "real.tgt"), "--real-align", str(data / "real.aln"),
+             "--distilled-src", str(data / "distilled.src"),
+             "--distilled-tgt", str(data / "distilled.tgt"),
+             "--distilled-align", str(data / "distilled.aln"),
+             "--out", str(out), "--csv", str(csv_out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        header, *rows = _csv_rows(csv_out)
+        assert [row[0] for row in rows] == ["real", "distilled"]
+        for row in rows:
+            _assert_cells_match(row[1:], header[1:], payload[row[0]])
+
+
+class TestEarlyArgumentChecks:
+    @pytest.mark.parametrize("alpha", ["nan", "0"])
+    def test_report_alpha_rejected_before_training(self, tmp_path, capsys, corpus_files, alpha):
+        src, tgt, _ = corpus_files
+        out = tmp_path / "report.json"
+        code = run(
+            ["report", "--real-src", src, "--real-tgt", tgt,
+             "--distilled-src", src, "--distilled-tgt", tgt,
+             "--alpha", alpha, "--out", str(out), "--csv", str(tmp_path / "r.csv")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"distillens: smoothing constant must be finite and > 0, got {float(alpha)}\n"
+        )
+        assert not out.exists() and not (tmp_path / "r.csv").exists()
+
+    def test_select_lambda_rejected_before_reading(self, tmp_path, capsys):
+        src = _write(tmp_path / "s", "a\n")
+        ref = _write(tmp_path / "r", "x\n")
+        kbest = _write(tmp_path / "k", "0 ||| x ||| -1.0\n")
+        table = _write(tmp_path / "t.tsv", "a\tx\tnan\n")
+        out = tmp_path / "sel.txt"
+        code = run(
+            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
+             "--lambda", "2", "--cxty", "walign", "--table", table, "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "distillens: sim_weight must be in [0, 1], got 2.0\n"
+        assert not out.exists()
+
+
 class TestSelect:
     def test_lambda_one_selects_reference_like_hypothesis(self, tmp_path):
         src = _write(tmp_path / "s", "s0\n")
@@ -393,6 +476,22 @@ class TestSelect:
         assert len(rows) == 3
         selected = [row for row in rows[1:] if row[7] == "1"]
         assert len(selected) == 1 and selected[0][8] == "x y"
+
+    def test_score_floats_read_back_exactly(self, tmp_path):
+        data = bundled_data_dir()
+        scores = tmp_path / "scores.csv"
+        code = run(
+            ["select", "--kbest", str(data / "demo.kbest"), "--ref", str(data / "demo.ref"),
+             "--src", str(data / "demo.hyp"), "--lambda", "0.3", "--cxty", "nmt",
+             "--out", str(tmp_path / "sel.txt"), "--scores", str(scores)]
+        )
+        assert code == 0
+        header, *rows = _csv_rows(scores)
+        assert header[2:7] == ["sim", "sim_norm", "cxty_raw", "cxty_norm", "total"]
+        assert rows
+        for row in rows:
+            for cell in row[2:7]:
+                assert repr(float(cell)) == cell
 
     def test_output_in_sentence_id_order(self, tmp_path):
         src = _write(tmp_path / "s", "s0\ns1\n")

@@ -267,6 +267,16 @@ class TestComputeReport:
             "sentence_count",
         }
 
+    def test_to_dict_values(self):
+        corpus, alignments = self._corpus()
+        report = compute_report(corpus, alignments)
+        assert report.to_dict() == {
+            "frs": report.frs,
+            "lexical_diversity": report.lexical_diversity,
+            "faithfulness": report.faithfulness,
+            "sentence_count": 2,
+        }
+
     def test_reference_table_changes_faithfulness(self):
         corpus, alignments = self._corpus()
         reference = ConditionalTable({"a": {"q": 1}, "b": {"r": 1}})

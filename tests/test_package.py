@@ -1,0 +1,54 @@
+"""The package namespace: which names it exports and that each resolves."""
+
+import importlib
+import pkgutil
+
+import distillens
+
+PUBLIC_NAMES = {
+    "__version__", "bundled_data_dir",
+    "DistillensError", "FormatError", "ValidationError",
+    "SentencePair", "ParallelCorpus", "Alignment", "KBestEntry", "KBestList",
+    "TokenPredictionRecord", "AttentionRecord", "read_token_lines",
+    "write_token_lines", "read_parallel_corpus", "write_parallel_corpus",
+    "parse_pharaoh", "format_pharaoh", "read_alignments", "check_alignments",
+    "write_alignments", "read_kbest", "write_kbest", "read_token_predictions",
+    "write_token_predictions", "read_attention", "write_attention",
+    "NULL_TOKEN", "TranslationTable", "train_ibm1", "corpus_log_likelihood",
+    "viterbi_align", "word_alignment_score", "read_table", "write_table",
+    "ConditionalTable", "ComplexityReport", "sentence_frs", "corpus_frs",
+    "conditional_distribution", "lexical_diversity", "faithfulness",
+    "compute_report",
+    "SelectionConfig", "ScoredHypothesis", "smoothed_sentence_bleu",
+    "min_max_normalize", "score_hypotheses", "select_reference",
+    "Bin", "CalibrationReport", "attention_confidence", "confidence_by_iteration",
+    "token_accuracy", "expected_calibration_error", "average_confidence",
+    "fill_correctness",
+    "monotone_preorder",
+}
+
+
+def test_package_exports_each_public_name_once():
+    assert len(distillens.__all__) == len(set(distillens.__all__))
+    assert set(distillens.__all__) == PUBLIC_NAMES
+
+
+def test_every_listed_name_resolves():
+    modules = [distillens] + [
+        importlib.import_module(f"distillens.{info.name}")
+        for info in pkgutil.iter_modules(distillens.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_unlisted_constants_still_import():
+    from distillens.aligner import PROB_FLOOR
+    from distillens.complexity import DEFAULT_SMOOTHING
+    from distillens.corpus_io import atomic_write
+    from distillens.selection import COMPLEXITY_KINDS
+
+    assert PROB_FLOOR > 0 and DEFAULT_SMOOTHING > 0
+    assert callable(atomic_write) and "walign" in COMPLEXITY_KINDS
