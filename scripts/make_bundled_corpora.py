@@ -16,7 +16,6 @@ attn subcommands. Everything is seeded, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 
@@ -27,13 +26,14 @@ from distillens import (
     KBestList,
     ParallelCorpus,
     SentencePair,
+    TokenPredictionRecord,
     write_alignments,
     write_attention,
     write_kbest,
     write_parallel_corpus,
     write_token_lines,
+    write_token_predictions,
 )
-from distillens.corpus_io import atomic_write
 
 N_TYPES = 12
 N_SENTENCES = 240
@@ -107,7 +107,7 @@ def build_kbest(real: ParallelCorpus, rng: random.Random) -> dict[int, KBestList
 def build_predictions(real: ParallelCorpus, rng: random.Random):
     hyps = []
     refs = []
-    lines = []
+    records = []
     for sentence_id in range(8):
         source = real[sentence_id].source
         hyp = [SYNONYMS[word][0] for word in source]
@@ -118,15 +118,12 @@ def build_predictions(real: ParallelCorpus, rng: random.Random):
         hyps.append(hyp)
         refs.append(ref)
         for position, token in enumerate(hyp):
-            lines.append(
-                {
-                    "sentence_id": sentence_id,
-                    "position": position,
-                    "token": token,
-                    "probability": round(rng.uniform(0.35, 0.99), 6),
-                }
+            records.append(
+                TokenPredictionRecord(
+                    sentence_id, position, token, round(rng.uniform(0.35, 0.99), 6)
+                )
             )
-    return hyps, refs, lines
+    return hyps, refs, records
 
 
 def build_attention(rng: random.Random) -> list[AttentionRecord]:
@@ -175,12 +172,10 @@ def main() -> None:
     write_alignments(distilled_links, join("distilled.aln"))
 
     write_kbest(build_kbest(real, rng), join("demo.kbest"))
-    hyps, refs, pred_lines = build_predictions(real, rng)
+    hyps, refs, predictions = build_predictions(real, rng)
     write_token_lines(hyps, join("demo.hyp"))
     write_token_lines(refs, join("demo.ref"))
-    with atomic_write(join("demo.preds.jsonl")) as fh:
-        for record in pred_lines:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_token_predictions(predictions, join("demo.preds.jsonl"))
     write_attention(build_attention(rng), join("demo.attn.jsonl"))
     print(f"wrote bundled corpora to {args.out_dir}")
 

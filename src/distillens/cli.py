@@ -165,8 +165,9 @@ def _cmd_select(args: argparse.Namespace) -> None:
     line_count = min(len(references), len(sources))
     if sorted(lists) != list(range(len(lists))) or len(lists) > line_count:
         raise ValidationError(
-            f"{args.kbest}: k-best sentence ids must be exactly 0..K-1 with "
-            f"K <= {line_count}, the line count of {args.ref} and {args.src}"
+            f"k-best sentence ids must be exactly 0..K-1 with K <= {line_count}, "
+            f"the line count of {args.ref} and {args.src}",
+            path=args.kbest,
         )
     selected = []
     score_rows = []
@@ -239,8 +240,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
                 f"{args.hyp} has {len(hypotheses)} lines but {args.ref} "
                 f"has {len(references)}"
             )
-        records = fill_correctness(records, hypotheses, references)
-    report = expected_calibration_error(records, args.bins)
+    try:
+        if args.hyp is not None:
+            records = fill_correctness(records, hypotheses, references)
+        report = expected_calibration_error(records, args.bins)
+    except ValidationError as exc:  # a record that does not fit the inputs
+        raise ValidationError(str(exc), path=args.preds) from None
     _write_json(report.to_dict(), args.out)
     print(
         f"accuracy {report.accuracy * 100:.2f}% "
@@ -316,6 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--tgt", required=True, help="target token file")
     aligned = group(corpus)
     aligned.add_argument("--align", required=True, help="alignment file")
+    em = group()
+    em.add_argument(
+        "--iters",
+        type=_positive_int,
+        default=10,
+        help="EM iterations when training alignments (default %(default)s)",
+    )
     smoothing = group()
     smoothing.add_argument(
         "--alpha",
@@ -340,10 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "align",
         _cmd_align,
         "train a word-translation table and alignments by EM",
-        [corpus],
-    )
-    p_align.add_argument(
-        "--iters", type=_positive_int, default=10, help="EM iterations (default 10)"
+        [corpus, em],
     )
     p_align.add_argument("--out", required=True, help="output alignment file")
     p_align.add_argument("--table", help="also write the table as TSV")
@@ -440,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report",
         _cmd_report,
         "side-by-side metrics for a real and a distilled corpus",
-        [smoothing],
+        [smoothing, em],
     )
     p_report.add_argument("--real-src", required=True, help="real source file")
     p_report.add_argument("--real-tgt", required=True, help="real target file")
@@ -456,12 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--distilled-align",
         help="distilled alignment file (default: train by EM)",
-    )
-    p_report.add_argument(
-        "--iters",
-        type=_positive_int,
-        default=10,
-        help="EM iterations when self-aligning (default %(default)s)",
     )
     p_report.add_argument("--out", required=True, help="output JSON comparison")
     p_report.add_argument("--csv", help="also write a two-row CSV")

@@ -293,20 +293,19 @@ def check_alignments(
 ) -> None:
     """Check there is one alignment per sentence pair, each link inside its pair.
 
-    Errors start with ``path: `` when a path is given, and name the
-    1-based pair number as ``line N: ``.
+    Errors name ``path`` when it is given, and a bad link's 1-based pair
+    number as its line.
     """
-    prefix = "" if path is None else f"{path}: "
     if len(alignments) != len(corpus):
         raise ValidationError(
-            f"{prefix}{len(alignments)} alignments for a corpus of "
-            f"{len(corpus)} sentence pairs"
+            f"{len(alignments)} alignments for a corpus of {len(corpus)} sentence pairs",
+            path=path,
         )
     for number, (pair, alignment) in enumerate(zip(corpus, alignments), start=1):
         try:
             alignment.validate(len(pair.source), len(pair.target))
         except ValidationError as exc:
-            raise ValidationError(f"{prefix}line {number}: {exc}") from None
+            raise ValidationError(str(exc), path=path, line=number) from None
 
 
 def write_alignments(alignments: Sequence[Alignment], path: str) -> None:
@@ -401,6 +400,13 @@ def _require_int(record: dict, key: str, minimum: int) -> int:
     return value
 
 
+def _write_json_lines(objects: Iterable[dict], path: str) -> None:
+    """One sorted-key JSON object per line; NaN or ±inf is a ValueError."""
+    with atomic_write(path) as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+
+
 def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
     """Read per-token prediction records from a JSON-lines file."""
     records = []
@@ -438,17 +444,15 @@ def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
 
 
 def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str) -> None:
-    with atomic_write(path) as fh:
-        for record in records:
-            obj = {
-                "sentence_id": record.sentence_id,
-                "position": record.position,
-                "token": record.token,
-                "probability": record.probability,
-            }
-            if record.correct is not None:
-                obj["correct"] = record.correct
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write one JSON object per record; ``correct`` is left out when None."""
+
+    def fields(record: TokenPredictionRecord) -> dict:
+        obj = dict(vars(record))
+        if record.correct is None:
+            del obj["correct"]
+        return obj
+
+    _write_json_lines(map(fields, records), path)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +462,12 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
 def read_attention(path: str) -> list[AttentionRecord]:
     """Read attention matrices from a JSON-lines file.
 
-    Rows whose sum is within 1e-4 of one are renormalized exactly; rows
-    further off are rejected with the offending record's line number.
+    Each row is checked once, in this order: every weight is a JSON
+    number; every weight fits a float; no weight is negative or
+    non-finite (the first such weight is named as written); the row sums
+    to within 1e-4 of one. A row with defects of more than one kind gets
+    the message of the first check it fails. Rows that pass are
+    renormalized exactly; errors name the offending record's line number.
     """
     records = []
 
@@ -482,29 +490,19 @@ def read_attention(path: str) -> list[AttentionRecord]:
                 width = len(row)
             elif len(row) != width:
                 raise FormatError("attention rows must all have the same length")
-            # whole-row checks at C speed; a row that fails them goes
-            # through the per-weight loop, which names the first bad weight
-            values = None
-            if {int, float}.issuperset(map(type, row)):
-                try:
-                    values = list(map(float, row))
-                except OverflowError:  # named by the per-weight loop
-                    pass
-                else:
-                    total = sum(values)
-            if values is None or not (min(values) >= 0.0 and math.isfinite(total)):
-                values = []
-                for value in row:
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise FormatError("attention weights must be numbers")
-                    try:
-                        finite = math.isfinite(value)
-                    except OverflowError:  # a JSON integer too large for a float
-                        raise FormatError("attention weight is too large") from None
-                    if not (finite and value >= 0.0):
-                        raise FormatError(f"attention weight {value} must be finite and >= 0")
-                    values.append(float(value))
-                total = sum(values)
+            # whole-row checks at C speed; type() also rules out bool
+            if not {int, float}.issuperset(map(type, row)):
+                raise FormatError("attention weights must be numbers")
+            try:
+                values = list(map(float, row))
+            except OverflowError:  # a JSON integer too large for a float
+                raise FormatError("attention weight is too large") from None
+            total = sum(values)
+            if not (min(values) >= 0.0 and math.isfinite(total)):
+                for value, weight in zip(values, row):
+                    if not (math.isfinite(value) and value >= 0.0):
+                        raise FormatError(f"attention weight {weight} must be finite and >= 0")
+            # a finite row whose sum overflows fails here as "sums to inf"
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 raise FormatError(
                     f"attention row sums to {total!r}, more than "
@@ -518,15 +516,7 @@ def read_attention(path: str) -> list[AttentionRecord]:
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
-    with atomic_write(path) as fh:
-        for record in records:
-            obj = {
-                "sentence_id": record.sentence_id,
-                "iteration": record.iteration,
-                "head": record.head,
-                "weights": [list(row) for row in record.weights],
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write_json_lines(map(vars, records), path)
 
 
 # ---------------------------------------------------------------------------

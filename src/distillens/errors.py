@@ -6,11 +6,10 @@ __all__ = ["DistillensError", "FormatError", "ValidationError"]
 
 
 class DistillensError(Exception):
-    """Base class for data and domain errors raised by this package."""
+    """Base class for data and domain errors raised by this package.
 
-
-class FormatError(DistillensError):
-    """Malformed input data, located by file path and line when known."""
+    The message starts with ``path: `` and ``line N: `` when those are given.
+    """
 
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.path = path
@@ -21,6 +20,10 @@ class FormatError(DistillensError):
         if line is not None:
             prefix += f"line {line}: "
         super().__init__(prefix + message)
+
+
+class FormatError(DistillensError):
+    """Malformed input data, located by file path and line when known."""
 
 
 class ValidationError(DistillensError):

@@ -616,6 +616,32 @@ class TestCalibrate:
         assert json.loads(out.read_text())["n_bins"] == MAX_BINS
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "hyp_line, message",
+        [
+            (
+                "a y c\n",
+                "prediction token 'x' at sentence 0 position 1 does not match "
+                "hypothesis token 'y'",
+            ),
+            (
+                None,
+                "record for sentence 0 position 0 has no correct flag; ingest one "
+                "or fill it from hypothesis and reference tokens",
+            ),
+        ],
+    )
+    def test_cross_input_error_names_preds(self, tmp_path, capsys, hyp_line, message):
+        preds = self._preds(tmp_path)
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--preds", preds, "--out", str(out)]
+        if hyp_line is not None:
+            argv += ["--hyp", _write(tmp_path / "h", hyp_line),
+                     "--ref", _write(tmp_path / "r", "a b c\n")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"distillens: {preds}: {message}\n"
+        assert not out.exists()
+
     def test_hyp_requires_ref(self, tmp_path, capsys):
         preds = self._preds(tmp_path)
         hyp = _write(tmp_path / "h", "a x c\n")

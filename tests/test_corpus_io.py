@@ -332,6 +332,57 @@ class TestAttention:
         write_attention(records, path)
         assert read_attention(path) == records
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('["a", 1.0]', "attention weights must be numbers"),
+            ("[1.0, true]", "attention weights must be numbers"),
+            ("[null, 1.0]", "attention weights must be numbers"),
+            ("[1.2, -0.2]", "attention weight -0.2 must be finite and >= 0"),
+            ("[-1, 2]", "attention weight -1 must be finite and >= 0"),
+            ("[NaN, 1.0]", "attention weight nan must be finite and >= 0"),
+            ("[0.5, Infinity]", "attention weight inf must be finite and >= 0"),
+            ("[0, -Infinity]", "attention weight -inf must be finite and >= 0"),
+            ("[1e999, 0]", "attention weight inf must be finite and >= 0"),
+            (f"[{'9' * 401}, 0]", "attention weight is too large"),
+            ("[1e308, 1e308]", "attention row sums to inf, more than 0.0001 away from 1"),
+            ("[0.5, 0.6]", "attention row sums to 1.1, more than 0.0001 away from 1"),
+            # a row with defects of two kinds gets the first check's message
+            ("[-1, \"a\"]", "attention weights must be numbers"),
+        ],
+    )
+    def test_bad_row_message(self, tmp_path, row, message):
+        path = _write(
+            tmp_path / "a",
+            '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, 0.0]]}\n'
+            f'{{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, 0.0], {row}]}}\n',
+        )
+        with pytest.raises(FormatError) as info:
+            read_attention(path)
+        assert str(info.value) == f"{path}: line 2: {message}"
+
+    def test_negative_zero_accepted(self, tmp_path):
+        path = _write(
+            tmp_path / "a",
+            '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[-0.0, 1.0]]}\n',
+        )
+        assert read_attention(path)[0].weights == ((0.0, 1.0),)
+
+
+class TestJsonLinesWriters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "write, record",
+        [
+            (write_attention, lambda value: AttentionRecord(0, 1, 0, ((1.0, value),))),
+            (write_token_predictions, lambda value: TokenPredictionRecord(0, 0, "a", value)),
+        ],
+    )
+    def test_non_finite_refused_with_no_file(self, tmp_path, write, record, value):
+        with pytest.raises(ValueError):
+            write([record(0.5), record(value)], str(tmp_path / "out.jsonl"))
+        assert os.listdir(tmp_path) == []
+
 
 def _lines(line):
     """Text of 1-4 lines drawn from ``line``, each ending in a newline."""

@@ -1,7 +1,12 @@
-"""The package namespace: which names it exports and that each resolves."""
+"""The package namespace: which names it exports and that each resolves,
+and the bundled data it ships."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import distillens
 
@@ -52,3 +57,17 @@ def test_unlisted_constants_still_import():
 
     assert PROB_FLOOR > 0 and DEFAULT_SMOOTHING > 0
     assert callable(atomic_write) and "walign" in COMPLEXITY_KINDS
+
+
+def test_bundled_data_is_what_its_generator_writes(tmp_path):
+    package_dir = Path(distillens.__file__).parent
+    script = package_dir.parents[1] / "scripts" / "make_bundled_corpora.py"
+    env = dict(os.environ, PYTHONPATH=str(package_dir.parent))
+    subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path)],
+        check=True, env=env, capture_output=True,
+    )
+    bundled = package_dir / "data"
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(bundled))
+    for name in os.listdir(bundled):
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
