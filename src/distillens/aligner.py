@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from sys import intern
-from typing import Callable
+from typing import Callable, Iterable
 
 from .corpus_io import Alignment, ParallelCorpus, SentencePair, _read_lines, atomic_write
 from .errors import FormatError
@@ -45,7 +45,9 @@ class TranslationTable:
     """Word translation probabilities p(target word | source word).
 
     ``probs[x][y]`` holds p(y|x). Each source word's row sums to one;
-    there is always a row for :data:`NULL_TOKEN`.
+    there is always a row for :data:`NULL_TOKEN`. A table read with
+    ``keep=`` (see :func:`read_table`) holds only some rows, which need
+    not sum to one; :meth:`prob` answers as the full table does for them.
     """
 
     probs: dict[str, dict[str, float]]
@@ -202,22 +204,50 @@ def word_alignment_score(
 
 
 def write_table(table: TranslationTable, path: str) -> None:
-    """Serialize a table as tab-separated ``x  y  p`` rows, sorted."""
+    """Serialize a table as tab-separated ``x  y  p`` rows, sorted.
+
+    A probability outside [0, 1], NaN included, is a ValueError and no
+    file is left, so what is written always reads back.
+    """
     with atomic_write(path) as fh:
         for x in sorted(table.probs):
             row = table.probs[x]
+            values = row.values()
+            # whole-row check at C speed; min and max skip a NaN that is
+            # not first, the sum does not
+            if not (
+                math.isfinite(sum(values))
+                and min(values, default=0.0) >= 0.0
+                and max(values, default=0.0) <= 1.0
+            ):
+                y, p = next((y, p) for y, p in row.items() if not 0.0 <= p <= 1.0)
+                raise ValueError(f"p({y!r} | {x!r}) must be in [0, 1], got {p!r}")
             fh.write("".join([f"{x}\t{y}\t{row[y]!r}\n" for y in sorted(row)]))
 
 
-def read_table(path: str) -> TranslationTable:
+def read_table(
+    path: str, *, keep: tuple[Iterable[str], Iterable[str]] | None = None
+) -> TranslationTable:
     """Read a table written by :func:`write_table`.
 
     Each distinct target word is stored once (``sys.intern``) and shared by
     every row that holds it.
+
+    ``keep=(source_words, target_words)`` stores only the rows whose
+    source word is :data:`NULL_TOKEN` or in ``source_words`` and whose
+    target word is in ``target_words``. Every line is still checked, so a
+    bad line fails with the same message and line number either way, and
+    the kept table answers :meth:`TranslationTable.prob` identically for
+    those words; its rows need not sum to one.
     """
     probs: dict[str, dict[str, float]] = {}
     last_x: str | None = None
-    row: dict[str, float] = {}
+    row: dict[str, float] | None = {}
+    if keep is None:
+        kept_sources = kept_targets = None
+    else:
+        kept_sources = {NULL_TOKEN, *keep[0]}
+        kept_targets = set(keep[1])
 
     def parse_line(raw: str) -> None:
         nonlocal last_x, row
@@ -233,18 +263,24 @@ def read_table(path: str) -> TranslationTable:
         except ValueError:
             shown = raw_prob.rstrip("\n")
             raise FormatError(f"unparsable probability {shown!r}") from None
-        if not 0.0 <= p < math.inf:
+        if not 0.0 <= p <= 1.0:
             shown = raw_prob.rstrip("\n")
+            if 1.0 < p < math.inf:
+                raise FormatError(f"probability must be <= 1, got {shown}")
             raise FormatError(f"probability must be finite and >= 0, got {shown}")
         # write_table keeps each source word's rows together, so the row
         # is looked up once per run of lines; a word that comes back later
-        # still finds its dict
+        # still finds its dict. A source word that is not kept has row None.
         if x != last_x:
             last_x = x
-            row = probs.get(x)
-            if row is None:
-                row = probs[x] = {}
-        row[intern(y)] = p
+            if kept_sources is None or x in kept_sources:
+                row = probs.get(x)
+                if row is None:
+                    row = probs[x] = {}
+            else:
+                row = None
+        if row is not None and (kept_targets is None or y in kept_targets):
+            row[intern(y)] = p
 
     _read_lines(path, parse_line)
     return TranslationTable(probs)

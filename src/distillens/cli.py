@@ -159,7 +159,14 @@ def _cmd_select(args: argparse.Namespace) -> None:
     lists = read_kbest(args.kbest)
     references = read_token_lines(args.ref)
     sources = read_token_lines(args.src)
-    table = read_table(args.table) if args.table else None
+    table = None
+    if args.table:
+        # store only the rows scoring can look up
+        hypothesis_words = {
+            y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
+        }
+        source_words = {x for sentence in sources for x in sentence}
+        table = read_table(args.table, keep=(source_words, hypothesis_words))
     # one output line per k-best list, so ids 0..K-1 keep the output
     # line-parallel with the first K lines of --src and --ref
     line_count = min(len(references), len(sources))

@@ -363,9 +363,19 @@ def read_kbest(path: str) -> dict[int, KBestList]:
 
 
 def write_kbest(lists: Mapping[int, KBestList], path: str) -> None:
+    """Write ``id ||| tokens ||| logprob`` lines in id order.
+
+    A log probability that is not finite and <= 0 is a ValueError and no
+    file is left, so what is written always reads back.
+    """
     with atomic_write(path) as fh:
         for sentence_id in sorted(lists):
             for entry in lists[sentence_id].entries:
+                if not -math.inf < entry.nmt_logprob <= 0.0:
+                    raise ValueError(
+                        f"sentence {sentence_id}: log probability must be finite "
+                        f"and <= 0, got {entry.nmt_logprob!r}"
+                    )
                 fh.write(
                     f"{sentence_id} ||| {' '.join(entry.hypothesis)} ||| "
                     f"{entry.nmt_logprob!r}\n"

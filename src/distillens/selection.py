@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from math import exp, log
 from typing import Sequence
 
-from .aligner import TranslationTable, viterbi_align, word_alignment_score
+from .aligner import NULL_TOKEN, TranslationTable, viterbi_align
+from .aligner import word_alignment_score  # unused; perfbench's tracer patches it here
 from .complexity import sentence_frs
 from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair
 
@@ -142,8 +143,12 @@ def _complexity_raws(
     ``walign`` and ``frs`` score each hypothesis's Viterbi alignment. A
     target token's Viterbi link depends only on its word and the source,
     and the source is the same for the whole list, so Viterbi runs once,
-    over the list's distinct target words, and each hypothesis's
-    alignment is read off that.
+    over the list's distinct target words. ``frs`` reads each
+    hypothesis's alignment off that. ``walign`` looks up each distinct
+    word's ln p(y | its winner, or NULL) once and sums those terms over
+    the hypothesis in token order: the same addends in the same order as
+    :func:`word_alignment_score` on the hypothesis's own Viterbi
+    alignment, so the same float.
     """
     kind = config.complexity_kind
     if kind == "nmt":
@@ -153,16 +158,25 @@ def _complexity_raws(
     source = tuple(source)
     words = tuple(dict.fromkeys(y for entry in entries for y in entry.hypothesis))
     winner = {words[j]: i for i, j in viterbi_align(SentencePair(source, words), table).links}
+    if kind == "walign":
+        logp = {
+            y: log(table.prob(source[winner[y]] if y in winner else NULL_TOKEN, y))
+            for y in words
+        }
     raws = []
     for entry in entries:
         target = entry.hypothesis
-        alignment = Alignment(
-            frozenset((winner[y], j) for j, y in enumerate(target) if y in winner)
-        )
         if kind == "frs":
+            alignment = Alignment(
+                frozenset((winner[y], j) for j, y in enumerate(target) if y in winner)
+            )
             raws.append(sentence_frs(alignment, len(target)))
         else:
-            raws.append(word_alignment_score(SentencePair(source, target), alignment, table))
+            # a plain loop, not sum(): the addends must be added left to right
+            total = 0.0
+            for y in target:
+                total += logp[y]
+            raws.append(total)
     return raws
 
 

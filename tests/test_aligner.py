@@ -321,6 +321,9 @@ class TestTableSerialization:
             ("a\tx\t0.5\nb\ty\tinf\n", "line 2: probability must be finite and >= 0, got inf"),
             ("a\tx\t0.5\nb\ty\t1e999\n", "line 2: probability must be finite and >= 0, got 1e999"),
             ("a\tx\t0.5\nb\ty\t-1\n", "line 2: probability must be finite and >= 0, got -1"),
+            ("a\tx\t5.0\na\ty\t7\n", "line 1: probability must be <= 1, got 5.0"),
+            ("a\tx\t1.0\na\ty\t1.0000000000000002\n",
+             "line 2: probability must be <= 1, got 1.0000000000000002"),
             ("a\tx\t0.5\nb\ty\n", "line 2: expected `source<TAB>target<TAB>probability`"),
             ("a\tx\t0.5\nb\ty\t0.5\tz\n", "line 2: expected `source<TAB>target<TAB>probability`"),
             ("a\tx\t0.5\nb\ty\t0.5\t\n", "line 2: expected `source<TAB>target<TAB>probability`"),
@@ -372,3 +375,74 @@ class TestTableSerialization:
         path.write_text("a\tx\t-0.0\n")
         p = read_table(str(path)).probs["a"]["x"]
         assert p == 0.0 and math.copysign(1.0, p) == -1.0
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 1.5])
+    def test_write_refuses_probability_outside_unit_interval(self, tmp_path, position, bad):
+        values = [0.25, 0.5, 0.25]
+        values[position] = bad
+        table = TranslationTable(
+            {"a": {"x": 1.0}, "b": dict(zip(["x", "y", "z"], values)), "c": {"x": 1.0}}
+        )
+        with pytest.raises(ValueError, match=r"^p\('[xyz]' \| 'b'\) must be in \[0, 1\]"):
+            write_table(table, str(tmp_path / "table.tsv"))
+        assert list(tmp_path.iterdir()) == []
+
+
+# Table text for the row filter: a few words, so kept and dropped rows
+# share source and target words; lines may come back to an earlier source.
+_KEEP_SOURCES = [NULL_TOKEN, "a", "b", "c"]
+_KEEP_TARGETS = ["x", "y", "z"]
+
+
+@st.composite
+def _table_and_keep(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_KEEP_SOURCES),
+                st.sampled_from(_KEEP_TARGETS),
+                st.sampled_from([0.0, 0.125, 0.5, 1.0]),
+            ),
+            max_size=12,
+        )
+    )
+    keep = (
+        draw(st.sets(st.sampled_from(_KEEP_SOURCES[1:] + ["d"]))),
+        draw(st.sets(st.sampled_from(_KEEP_TARGETS + ["w"]))),
+    )
+    return "".join(f"{x}\t{y}\t{p!r}\n" for x, y, p in rows), keep
+
+
+class TestReadTableKeep:
+    @settings(max_examples=200)
+    @given(_table_and_keep())
+    def test_kept_pairs_read_as_in_full_table(self, tmp_path_factory, case):
+        text, (sources, targets) = case
+        path = tmp_path_factory.mktemp("keep") / "table.tsv"
+        path.write_text(text)
+        full = read_table(str(path))
+        kept = read_table(str(path), keep=(sources, targets))
+        for x in [NULL_TOKEN, *sources]:
+            for y in targets:
+                assert kept.prob(x, y) == full.prob(x, y)
+        assert all(
+            x in sources or x == NULL_TOKEN for x in kept.probs
+        ) and all(y in targets for row in kept.probs.values() for y in row)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("q\tw\tnan", "probability must be finite and >= 0, got nan"),
+            ("q\tw\t-1", "probability must be finite and >= 0, got -1"),
+            ("q\tw\t2", "probability must be <= 1, got 2"),
+            ("q\tw\tabc", "unparsable probability 'abc'"),
+            ("q\tw", "expected `source<TAB>target<TAB>probability`"),
+        ],
+    )
+    def test_bad_line_outside_keep_still_fails(self, tmp_path, bad, message):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"a\tx\t0.5\nq\tv\t0.5\n{bad}\na\ty\t0.5\n")
+        with pytest.raises(FormatError) as info:
+            read_table(str(path), keep=({"a"}, {"x", "y"}))
+        assert str(info.value) == f"{path}: line 3: {message}"

@@ -1,6 +1,7 @@
 """End-to-end subcommand behaviour through the public entry point."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -104,13 +105,14 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-# each non-finite input and the stderr text that must name it
+# each non-finite or out-of-range input and the stderr text that must name it
 _NON_FINITE = {
     "metrics-alpha": "smoothing constant",
     "kbest-logprob": "k: line 1: ",
     "attn-weight": "a.jsonl: line 1: ",
     "table-nan": "t.tsv: line 1: ",
     "table-inf": "t.tsv: line 1: ",
+    "table-7": "t.tsv: line 1: probability must be <= 1, got 7",
 }
 
 
@@ -532,6 +534,42 @@ class TestSelect:
         assert code == 1
         assert not out.exists()
         assert "0..K-1" in capsys.readouterr().err
+
+    # sha256 of the table `align` trains on the bundled real corpus, and of
+    # `select`'s --out and --scores for each --cxty on the bundled k-best
+    # list. A speed-up must not move a byte; a change that means to moves
+    # them here and says why.
+    PINNED = {
+        "table.tsv": "be1f305b07d60be34b90e8fae685dd6f92cddec12eb5ff6579950cf6bd523ef0",
+        "frs.out": "55c63858e688a60e0f1624495bcd20a46ba810e95a2d196788cbb331ed8da0b8",
+        "frs.csv": "2cff4b8f586b6fffd1d54653fe475199c90640bf3d15128388ca8a2f4f86722b",
+        "walign.out": "733e9e3d490a40879a897c2e7dac3a874d0aafd5c4ae913135d480035ae8d619",
+        "walign.csv": "29aae72bdb8fdbcf76e935ff6ade3291e0c70401ab6262b13361384e69392aa4",
+        "nmt.out": "55c63858e688a60e0f1624495bcd20a46ba810e95a2d196788cbb331ed8da0b8",
+        "nmt.csv": "8e1a8e476f19f4ba9cbafa68ee244d3bd9173879f354dfedf4d6f14111feeff3",
+    }
+
+    def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
+        data = bundled_data_dir()
+        table = str(tmp_path / "table.tsv")
+        code = run(
+            ["align", "--src", str(data / "real.src"), "--tgt", str(data / "real.tgt"),
+             "--out", str(tmp_path / "real.aln"), "--table", table]
+        )
+        assert code == 0
+        for kind in ("frs", "walign", "nmt"):
+            code = run(
+                ["select", "--kbest", str(data / "demo.kbest"), "--ref", str(data / "demo.ref"),
+                 "--src", str(data / "real.src"), "--cxty", kind, "--table", table,
+                 "--out", str(tmp_path / f"{kind}.out"),
+                 "--scores", str(tmp_path / f"{kind}.csv")]
+            )
+            assert code == 0
+        capsys.readouterr()
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
+        }
+        assert digests == self.PINNED
 
 
 class TestPreorder:

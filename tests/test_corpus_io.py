@@ -234,6 +234,13 @@ class TestKBest:
         write_kbest(lists, path)
         assert read_kbest(path) == lists
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.5, 5e-324])
+    def test_bad_log_probability_refused_with_no_file(self, tmp_path, value):
+        entries = (KBestEntry(("a",), -1.0), KBestEntry(("b",), value))
+        with pytest.raises(ValueError, match="log probability must be finite and <= 0"):
+            write_kbest({0: KBestList(0, entries)}, str(tmp_path / "k"))
+        assert os.listdir(tmp_path) == []
+
 
 class TestTokenPredictions:
     def test_accept_and_reject_probability(self, tmp_path):

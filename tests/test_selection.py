@@ -19,6 +19,8 @@ from distillens import (
     score_hypotheses,
     select_reference,
     smoothed_sentence_bleu,
+    viterbi_align,
+    word_alignment_score,
 )
 from distillens.aligner import PROB_FLOOR
 
@@ -409,3 +411,45 @@ class TestAgainstPerHypothesisScoring:
             expected = _frozen_scores(kbest, reference, source, config, table)
             scored = score_hypotheses(kbest, reference, source, config, table)
             assert [(h.sim, h.cxty_raw, h.total) for h in scored] == expected
+
+
+@st.composite
+def _walign_cases(draw):
+    """A table, a source and a k-best list. With ``unique``, every target
+    word sits in exactly one row, so each word has one possible link."""
+    unique = draw(st.booleans())
+    rows = {}
+    for x in [NULL_TOKEN] + _SOURCE_WORDS:
+        if draw(st.booleans()) or x == "s0":
+            rows[x] = {}
+    for y in _TARGET_WORDS[:4]:
+        for x in rows:
+            if draw(st.booleans()):
+                rows[x][y] = draw(_PROBS)
+                if unique:
+                    break
+    tokens = st.sampled_from(_TARGET_WORDS)
+    entries = draw(
+        st.lists(
+            st.builds(KBestEntry, st.lists(tokens, max_size=7).map(tuple), st.just(-1.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    source = draw(st.lists(st.sampled_from(_SOURCE_WORDS + ["s8"]), max_size=5))
+    return TranslationTable(rows), KBestList(0, tuple(entries)), tuple(source)
+
+
+class TestFusedWordAlignmentScore:
+    @settings(max_examples=200)
+    @given(_walign_cases())
+    def test_equals_word_alignment_score_of_viterbi_alignment(self, case):
+        """walign's raw score is word_alignment_score of each hypothesis's
+        own Viterbi alignment, float for float: ties, NULL winners and
+        words in no row included."""
+        table, kbest, source = case
+        scored = score_hypotheses(kbest, ["t0"], source, SelectionConfig(0.5, "walign"), table)
+        for entry, hypothesis in zip(kbest.entries, scored):
+            pair = SentencePair(source, entry.hypothesis)
+            expected = word_alignment_score(pair, viterbi_align(pair, table), table)
+            assert hypothesis.cxty_raw == expected
