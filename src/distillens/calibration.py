@@ -155,8 +155,10 @@ def token_accuracy(
 
     One backward pass over two rolling rows. The cell for hyp[i:] and
     ref[j:] holds the triple (cost, -matches, -mask), where mask has bit
-    len(hyp) - 1 - p set for every matched hypothesis position p. All
-    optimal alignments have the same number of matches, and of two
+    len(hyp) - 1 - p set for every matched hypothesis position p.
+    Optimal alignments can differ in their number of matches (hyp "a b"
+    against ref "b a" costs 2 by two substitutions and by delete, match,
+    insert), so -matches picks the one with the most. Among those, of two
     equal-size position sets the lexicographically earlier one holds the
     smallest position where they differ, so it has the larger mask.
     Lexicographic order on these additive triples is preserved under

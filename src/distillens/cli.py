@@ -55,7 +55,13 @@ from .corpus_io import (
 )
 from .errors import DistillensError, FormatError, ValidationError
 from .preorder import monotone_preorder
-from .selection import COMPLEXITY_KINDS, SelectionConfig, _best_rank, score_hypotheses
+from .selection import (
+    COMPLEXITY_KINDS,
+    ScoredHypothesis,
+    SelectionConfig,
+    _best_rank,
+    score_hypotheses,
+)
 
 __all__ = ["run", "main"]
 
@@ -100,13 +106,21 @@ def _train_and_align(
     return table, [viterbi_align(pair, table) for pair in corpus]
 
 
+def _linked(alignments: list[Alignment], path: str) -> list[Alignment]:
+    """Return alignments, or reject the file they came from for holding no
+    link: with none, every metric is undefined."""
+    _nonempty(any(alignment.links for alignment in alignments), path, "alignment links")
+    return alignments
+
+
 def _alignments(
-    corpus: ParallelCorpus, path: str | None, iterations: int, prefix: str
+    corpus: ParallelCorpus, path: str | None, src_path: str, iterations: int, prefix: str
 ) -> list[Alignment]:
-    """The corpus's alignments: read from path when given, else trained by EM."""
+    """The corpus's alignments: read from path when given, else trained by
+    EM on the corpus read from src_path."""
     if path:
-        return read_alignments(path, corpus)
-    return _train_and_align(corpus, iterations, prefix)[1]
+        return _linked(read_alignments(path, corpus), path)
+    return _linked(_train_and_align(corpus, iterations, prefix)[1], src_path)
 
 
 def _write_reports(
@@ -140,11 +154,11 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
         )
     check_smoothing(args.alpha)
     corpus = _read_corpus(args.src, args.tgt)
-    alignments = read_alignments(args.align, corpus)
+    alignments = _linked(read_alignments(args.align, corpus), args.align)
     reference_table = None
     if args.real_src is not None:
         real_corpus = _read_corpus(args.real_src, args.real_tgt)
-        real_alignments = read_alignments(args.real_align, real_corpus)
+        real_alignments = _linked(read_alignments(args.real_align, real_corpus), args.real_align)
         reference_table = conditional_distribution(real_corpus, real_alignments)
     report = compute_report(
         corpus, alignments, reference_table=reference_table, alpha=args.alpha
@@ -159,67 +173,48 @@ def _cmd_select(args: argparse.Namespace) -> None:
     lists = read_kbest(args.kbest)
     references = read_token_lines(args.ref)
     sources = read_token_lines(args.src)
+    # one output line per k-best list, so ids 0..K-1 (read_kbest keeps
+    # them in ascending order) keep the output line-parallel with the
+    # first K lines of --src and --ref
+    line_count = min(len(references), len(sources))
+    if list(lists) != list(range(len(lists))) or len(lists) > line_count:
+        raise ValidationError(
+            f"k-best sentence ids must be exactly 0..K-1 with K <= {line_count}, "
+            f"the line count of {args.ref} and {args.src}",
+            path=args.kbest,
+        )
     table = None
-    if args.table:
+    if args.table is not None:
         # store only the rows scoring can look up
         hypothesis_words = {
             y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
         }
         source_words = {x for sentence in sources for x in sentence}
         table = read_table(args.table, keep=(source_words, hypothesis_words))
-    # one output line per k-best list, so ids 0..K-1 keep the output
-    # line-parallel with the first K lines of --src and --ref
-    line_count = min(len(references), len(sources))
-    if sorted(lists) != list(range(len(lists))) or len(lists) > line_count:
-        raise ValidationError(
-            f"k-best sentence ids must be exactly 0..K-1 with K <= {line_count}, "
-            f"the line count of {args.ref} and {args.src}",
-            path=args.kbest,
-        )
+    score_names = [field.name for field in fields(ScoredHypothesis) if field.name != "entry"]
     selected = []
     score_rows = []
-    for sentence_id in sorted(lists):
+    for sentence_id, kbest in lists.items():
         scored = score_hypotheses(
-            lists[sentence_id],
-            references[sentence_id],
-            sources[sentence_id],
-            config,
-            table,
+            kbest, references[sentence_id], sources[sentence_id], config, table
         )
         best_rank = _best_rank(scored)
         selected.append(scored[best_rank].entry.hypothesis)
         if args.scores:
-            for rank, hypothesis in enumerate(scored):
-                score_rows.append(
-                    [
-                        sentence_id,
-                        rank,
-                        hypothesis.sim,
-                        hypothesis.sim_norm,
-                        hypothesis.cxty_raw,
-                        hypothesis.cxty_norm,
-                        hypothesis.total,
-                        1 if rank == best_rank else 0,
-                        " ".join(hypothesis.entry.hypothesis),
-                    ]
-                )
+            score_rows.extend(
+                [
+                    sentence_id,
+                    rank,
+                    *(getattr(hypothesis, name) for name in score_names),
+                    int(rank == best_rank),
+                    " ".join(hypothesis.entry.hypothesis),
+                ]
+                for rank, hypothesis in enumerate(scored)
+            )
     write_token_lines(selected, args.out)
     if args.scores:
-        _write_csv(
-            [
-                "sentence_id",
-                "rank",
-                "sim",
-                "sim_norm",
-                "cxty_raw",
-                "cxty_norm",
-                "total",
-                "selected",
-                "hypothesis",
-            ],
-            score_rows,
-            args.scores,
-        )
+        header = ["sentence_id", "rank", *score_names, "selected", "hypothesis"]
+        _write_csv(header, score_rows, args.scores)
 
 
 def _cmd_preorder(args: argparse.Namespace) -> None:
@@ -272,19 +267,15 @@ def _cmd_report(args: argparse.Namespace) -> None:
     check_smoothing(args.alpha)
     real = _read_corpus(args.real_src, args.real_tgt)
     distilled = _read_corpus(args.distilled_src, args.distilled_tgt)
-    real_alignments = _alignments(real, args.real_align, args.iters, "real: ")
+    real_alignments = _alignments(real, args.real_align, args.real_src, args.iters, "real: ")
     distilled_alignments = _alignments(
-        distilled, args.distilled_align, args.iters, "distilled: "
+        distilled, args.distilled_align, args.distilled_src, args.iters, "distilled: "
     )
+    # both corpora are measured against the real corpus's conditionals
     real_table = conditional_distribution(real, real_alignments)
     reports = {
-        "real": compute_report(real, real_alignments, alpha=args.alpha),
-        "distilled": compute_report(
-            distilled,
-            distilled_alignments,
-            reference_table=real_table,
-            alpha=args.alpha,
-        ),
+        "real": compute_report(real, real_alignments, real_table, args.alpha),
+        "distilled": compute_report(distilled, distilled_alignments, real_table, args.alpha),
     }
     payload = {name: report.to_dict() for name, report in reports.items()}
     _write_reports(payload, reports, args)

@@ -112,6 +112,10 @@ class TestAttentionConfidence:
             value = attention_confidence(_record(rows))
             assert 1 / n_src <= value <= 1.0 + 1e-12
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="attention matrix has no rows"):
+            attention_confidence([])
+
 
 class TestConfidenceByIteration:
     def test_single_record(self):
@@ -358,6 +362,11 @@ class TestFillCorrectness:
         records = [TokenPredictionRecord(5, 0, "a", 0.9, None)]
         with pytest.raises(ValidationError):
             fill_correctness(records, {0: ["a"]}, {0: ["a"]})
+
+    def test_sentence_without_reference_rejected(self):
+        records = [TokenPredictionRecord(1, 0, "a", 0.9, None)]
+        with pytest.raises(ValidationError, match="no reference for sentence 1 "):
+            fill_correctness(records, {0: ["a"], 1: ["a"]}, {0: ["a"]})
 
     def test_position_out_of_range_rejected(self):
         records = [TokenPredictionRecord(0, 3, "a", 0.9, None)]

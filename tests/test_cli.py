@@ -336,6 +336,45 @@ class TestEmptyInput:
         assert set(tmp_path.iterdir()) == inputs
 
 
+# runs in which one corpus's alignments hold no link: N.aln is a blank
+# line per pair of `corpus_files`, and EM leaves the one-pair corpus
+# L.src / L.tgt unlinked, since NULL wins its tie with "a"; the value is
+# the file the error must name
+_LINKLESS_RUNS = {
+    "metrics": ("metrics --src S --tgt T --align N.aln --out OUT", "N.aln"),
+    "metrics-real": ("metrics --src S --tgt T --align A "
+                     "--real-src S --real-tgt T --real-align N.aln --out OUT", "N.aln"),
+    "report-real": ("report --real-src S --real-tgt T --real-align N.aln "
+                    "--distilled-src S --distilled-tgt T --distilled-align A --out OUT", "N.aln"),
+    "report-distilled": ("report --real-src S --real-tgt T --real-align A "
+                         "--distilled-src S --distilled-tgt T --distilled-align N.aln --out OUT",
+                         "N.aln"),
+    "report-real-em": ("report --real-src L.src --real-tgt L.tgt "
+                       "--distilled-src S --distilled-tgt T --out OUT", "L.src"),
+    "report-distilled-em": ("report --real-src S --real-tgt T "
+                            "--distilled-src L.src --distilled-tgt L.tgt --out OUT", "L.src"),
+}
+
+
+class TestLinklessAlignments:
+    """Alignments with no link leave every metric undefined; the error
+    names the alignment file, or the source file EM trained on."""
+
+    @pytest.mark.parametrize("case", sorted(_LINKLESS_RUNS))
+    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, case):
+        src, tgt, aln = corpus_files
+        files = {"S": src, "T": tgt, "A": aln, "OUT": str(tmp_path / "out"),
+                 "N.aln": _write(tmp_path / "N.aln", "\n\n\n"),
+                 "L.src": _write(tmp_path / "L.src", "a\n"),
+                 "L.tgt": _write(tmp_path / "L.tgt", "x\n")}
+        words, named = _LINKLESS_RUNS[case]
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words.split()]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"distillens: {files[named]}: holds no alignment links"
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files
@@ -535,6 +574,38 @@ class TestSelect:
         assert not out.exists()
         assert "0..K-1" in capsys.readouterr().err
 
+    def test_ids_checked_before_the_table(self, tmp_path, capsys):
+        src = _write(tmp_path / "s", "s0\n")
+        ref = _write(tmp_path / "r", "a\n")
+        kbest = _write(tmp_path / "k", "3 ||| a ||| -1.0\n")
+        table = _write(tmp_path / "t.tsv", "s0\ta\tnan\n")
+        out = tmp_path / "sel.txt"
+        code = run(
+            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
+             "--cxty", "walign", "--table", table, "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"distillens: {kbest}: k-best sentence ids ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["frs", "walign", "nmt"])
+    def test_empty_table_path_fails_to_open(self, tmp_path, capsys, monkeypatch, kind):
+        def no_scoring(*args):
+            raise AssertionError("scored without a table")
+
+        monkeypatch.setattr("distillens.cli.score_hypotheses", no_scoring)
+        src = _write(tmp_path / "s", "s0\n")
+        ref = _write(tmp_path / "r", "a\n")
+        kbest = _write(tmp_path / "k", "0 ||| a ||| -1.0\n")
+        out = tmp_path / "sel.txt"
+        code = run(
+            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
+             "--cxty", kind, "--table", "", "--out", str(out)]
+        )
+        assert code == 2
+        assert "No such file or directory: ''" in capsys.readouterr().err
+        assert not out.exists()
+
     # sha256 of the table `align` trains on the bundled real corpus, and of
     # `select`'s --out and --scores for each --cxty on the bundled k-best
     # list. A speed-up must not move a byte; a change that means to moves
@@ -678,6 +749,16 @@ class TestCalibrate:
                      "--ref", _write(tmp_path / "r", "a b c\n")]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"distillens: {preds}: {message}\n"
+        assert not out.exists()
+
+    def test_hyp_and_ref_line_counts_must_agree(self, tmp_path, capsys):
+        preds = self._preds(tmp_path)
+        hyp = _write(tmp_path / "h", "a x c\nb\n")
+        ref = _write(tmp_path / "r", "a b c\n")
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref, "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"distillens: {hyp} has 2 lines but {ref} has 1\n"
         assert not out.exists()
 
     def test_hyp_requires_ref(self, tmp_path, capsys):

@@ -229,6 +229,10 @@ class TestFaithfulness:
         small = faithfulness(real, distilled, alpha=1e-6)
         assert small < 1e-4
 
+    def test_empty_real_table_rejected(self):
+        with pytest.raises(ValueError, match="real table has an empty source vocabulary"):
+            faithfulness(ConditionalTable({}), ConditionalTable({"a": {"x": 1}}))
+
     def test_alpha_validated(self):
         table = ConditionalTable({"a": {"x": 1}})
         with pytest.raises(ValueError):

@@ -354,6 +354,8 @@ class TestAttention:
             (f"[{'9' * 401}, 0]", "attention weight is too large"),
             ("[1e308, 1e308]", "attention row sums to inf, more than 0.0001 away from 1"),
             ("[0.5, 0.6]", "attention row sums to 1.1, more than 0.0001 away from 1"),
+            ("[]", "attention rows must be non-empty lists"),
+            ("1.0", "attention rows must be non-empty lists"),
             # a row with defects of two kinds gets the first check's message
             ("[-1, \"a\"]", "attention weights must be numbers"),
         ],
@@ -374,6 +376,41 @@ class TestAttention:
             '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[-0.0, 1.0]]}\n',
         )
         assert read_attention(path)[0].weights == ((0.0, 1.0),)
+
+
+_PREDICTION_LINE = '{"sentence_id": 0, "position": 0, "token": "a", "probability": 0.5%s}'
+_ATTENTION_LINE = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": %s}'
+
+
+class TestJsonLinesRecords:
+    @pytest.mark.parametrize(
+        "read, line, message",
+        [
+            (read_token_predictions, "[1]", "record must be a JSON object"),
+            (read_attention, '"a"', "record must be a JSON object"),
+            (read_token_predictions, _PREDICTION_LINE % ', "correct": 1',
+             "field 'correct' must be a boolean when present"),
+            (read_attention, _ATTENTION_LINE % "[]", "field 'weights' must be a non-empty matrix"),
+            (read_attention, _ATTENTION_LINE % "1.0",
+             "field 'weights' must be a non-empty matrix"),
+        ],
+    )
+    def test_bad_record_message(self, tmp_path, read, line, message):
+        path = _write(tmp_path / "r.jsonl", line + "\n")
+        with pytest.raises(FormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: line 1: {message}"
+
+    @pytest.mark.parametrize(
+        "read, line",
+        [
+            (read_token_predictions, _PREDICTION_LINE % ""),
+            (read_attention, _ATTENTION_LINE % "[[1.0]]"),
+        ],
+    )
+    def test_blank_lines_skipped(self, tmp_path, read, line):
+        path = _write(tmp_path / "r.jsonl", f"\n{line}\n \t\n")
+        assert read(path) == read(_write(tmp_path / "one.jsonl", line + "\n"))
 
 
 class TestJsonLinesWriters:

@@ -1,6 +1,7 @@
 """The package namespace: which names it exports and that each resolves,
 and the bundled data it ships."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -57,6 +58,39 @@ def test_unlisted_constants_still_import():
 
     assert PROB_FLOOR > 0 and DEFAULT_SMOOTHING > 0
     assert callable(atomic_write) and "walign" in COMPLEXITY_KINDS
+
+
+# imported names that no code in their module reads, each with its reason
+UNUSED_IMPORTS = {
+    # perfbench's tracer patches it there to time word-alignment scoring;
+    # goes when the tracer stops patching module names
+    ("selection", "word_alignment_score"),
+}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_modules_import_no_name_they_never_read():
+    package_dir = Path(distillens.__file__).parent
+    unused = {
+        (path.stem, name)
+        for path in package_dir.glob("*.py")
+        if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    }
+    assert unused == UNUSED_IMPORTS
 
 
 def test_bundled_data_is_what_its_generator_writes(tmp_path):
