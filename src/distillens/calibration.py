@@ -13,7 +13,6 @@ format them at display time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -165,6 +164,20 @@ def token_accuracy(
     addition, so the cell-wise minimum is the global optimum and the
     labels are the bits of the mask at the first cell.
 
+    Each triple is packed into one int whose integer order is the
+    triple's order. With n = len(hyp), full = 2**n - 1 and
+    S = n + n.bit_length() + 1, the fields from the top are
+
+        cost << S | (n - matches) << n | (full - mask)
+
+    The low field takes n bits and the middle one n.bit_length() + 1, so
+    each field fits below the next. An edit adds 1 << S; a match at
+    position i subtracts 1 << n and the position's bit. Neither ever
+    borrows: a path matches each hypothesis position at most once, so
+    it matches at most n times, and the bit of position i is still set
+    in the low field of every cell for hyp[i + 1:]. So integer
+    comparison and the arithmetic act field by field, as on the triples.
+
     The pass visits only a diagonal band (Ukkonen 1985). With d the edit
     distance, found first by _edit_distance, any path through cell
     (i, j) costs at least |i - j| to reach it and |(n - i) - (m - j)|
@@ -172,7 +185,10 @@ def token_accuracy(
     cost d. Every optimal alignment costs exactly d, so it stays inside
     the band; cells outside count as infinite cost, and the minimum over
     in-band paths is the same triple as the minimum over all paths. The
-    labels and the tie rule are therefore unchanged.
+    labels and the tie rule are therefore unchanged. An outside cell
+    holds cost n + m + 1, more than any path costs, so it never wins a
+    minimum: the diagonal neighbour of an in-band cell is in the band,
+    so a real cell is always among the candidates.
     """
     hyp = list(hypothesis)
     ref = list(reference)
@@ -187,33 +203,52 @@ def token_accuracy(
     slack = (_edit_distance(hyp, ref) - abs(skew)) // 2
     low = min(0, skew) - slack
     high = max(0, skew) + slack
-    outside = (math.inf, 0, 0)
 
-    # below[j]: (edit cost, -matches, -mask) aligning hyp[i + 1:] with ref[j:]
+    full = (1 << n_hyp) - 1
+    shift = n_hyp + n_hyp.bit_length() + 1
+    edit = 1 << shift
+    # the key of (cost 0, no matches, empty mask)
+    empty = n_hyp << n_hyp | full
+    outside = (n_hyp + n_ref + 1) << shift | empty
+
+    # below[j]: key of the best alignment of hyp[i + 1:] with ref[j:]
     below = [
-        (n_ref - j, 0, 0) if low <= j - n_hyp <= high else outside
+        (n_ref - j) << shift | empty if low <= j - n_hyp <= high else outside
         for j in range(n_ref + 1)
     ]
+    # the two rows swap after each step and are never rebuilt: the band
+    # moves left by one cell per row, so the only out-of-band cells read
+    # are the one just above the band, reset here, and the one just
+    # below it, which no earlier row wrote
+    row = [outside] * (n_ref + 1)
     for i in range(n_hyp - 1, -1, -1):
         token = hyp[i]
-        bit = 1 << (n_hyp - 1 - i)
-        row = [outside] * (n_ref + 1)
+        match = (1 << n_hyp) + (1 << (n_hyp - 1 - i))
+        top = min(n_ref - 1, i + high)
+        row[top + 1] = outside
         if n_ref - i <= high:  # n_ref - i > skew >= low always holds
-            row[n_ref] = (n_hyp - i, 0, 0)
-        for j in range(min(n_ref - 1, i + high), max(0, i + low) - 1, -1):
+            row[n_ref] = (n_hyp - i) << shift | empty
+        left = row[top + 1]
+        diagonal = below[top + 1]
+        for j in range(top, max(0, i + low) - 1, -1):
+            up = below[j]
             if token == ref[j]:
-                cost, neg_matches, neg_mask = below[j + 1]
-                match = (cost, neg_matches - 1, neg_mask - bit)
-                cost, neg_matches, neg_mask = min(below[j], row[j + 1])
-                row[j] = min(match, (cost + 1, neg_matches, neg_mask))
+                best = diagonal - match
+                other = (up if up < left else left) + edit
+                if other < best:
+                    best = other
             else:
                 # substitution, deletion and insertion all cost one edit
-                cost, neg_matches, neg_mask = min(below[j + 1], below[j], row[j + 1])
-                row[j] = (cost + 1, neg_matches, neg_mask)
-        below = row
+                best = diagonal if diagonal < up else up
+                if left < best:
+                    best = left
+                best += edit
+            row[j] = left = best
+            diagonal = up
+        below, row = row, below
 
-    mask = -below[0][2]
-    return [bool(mask >> (n_hyp - 1 - p) & 1) for p in range(n_hyp)]
+    mask = full - (below[0] & full)
+    return [bit == "1" for bit in format(mask, f"0{n_hyp}b")]
 
 
 def expected_calibration_error(

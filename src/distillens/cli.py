@@ -118,7 +118,7 @@ def _alignments(
 ) -> list[Alignment]:
     """The corpus's alignments: read from path when given, else trained by
     EM on the corpus read from src_path."""
-    if path:
+    if path is not None:
         return _linked(read_alignments(path, corpus), path)
     return _linked(_train_and_align(corpus, iterations, prefix)[1], src_path)
 
@@ -128,7 +128,7 @@ def _write_reports(
 ) -> None:
     """Write the JSON payload and, with --csv, one row per named report."""
     _write_json(payload, args.out)
-    if args.csv:
+    if args.csv is not None:
         header = ["corpus", *(field.name for field in fields(ComplexityReport))]
         rows = ([name, *astuple(report)] for name, report in reports.items())
         _write_csv(header, rows, args.csv)
@@ -142,7 +142,7 @@ def _cmd_align(args: argparse.Namespace) -> None:
     corpus = _read_corpus(args.src, args.tgt)
     table, alignments = _train_and_align(corpus, args.iters, "")
     write_alignments(alignments, args.out)
-    if args.table:
+    if args.table is not None:
         write_table(table, args.table)
 
 
@@ -200,7 +200,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
         )
         best_rank = _best_rank(scored)
         selected.append(scored[best_rank].entry.hypothesis)
-        if args.scores:
+        if args.scores is not None:
             score_rows.extend(
                 [
                     sentence_id,
@@ -212,7 +212,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
                 for rank, hypothesis in enumerate(scored)
             )
     write_token_lines(selected, args.out)
-    if args.scores:
+    if args.scores is not None:
         header = ["sentence_id", "rank", *score_names, "selected", "hypothesis"]
         _write_csv(header, score_rows, args.scores)
 
@@ -295,6 +295,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    """An output file path; checked before any input is read, so a bad
+    one leaves no other output behind."""
+    if not text:
+        raise argparse.ArgumentTypeError("output path must not be empty")
+    return text
+
+
 def _bin_count(text: str) -> int:
     value = _positive_int(text)
     if value > MAX_BINS:
@@ -346,14 +354,17 @@ def _build_parser() -> argparse.ArgumentParser:
         command_parser.set_defaults(func=func, parser=command_parser)
         return command_parser
 
+    def output(command_parser, flag, help, required=True) -> None:
+        command_parser.add_argument(flag, required=required, type=_output_path, help=help)
+
     p_align = command(
         "align",
         _cmd_align,
         "train a word-translation table and alignments by EM",
         [corpus, em],
     )
-    p_align.add_argument("--out", required=True, help="output alignment file")
-    p_align.add_argument("--table", help="also write the table as TSV")
+    output(p_align, "--out", "output alignment file")
+    output(p_align, "--table", "also write the table as TSV", required=False)
 
     p_metrics = command(
         "metrics",
@@ -370,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument(
         "--real-align", help="alignment file of the reference (real) corpus"
     )
-    p_metrics.add_argument("--out", required=True, help="output JSON report")
-    p_metrics.add_argument("--csv", help="also write a one-row CSV")
+    output(p_metrics, "--out", "output JSON report")
+    output(p_metrics, "--csv", "also write a one-row CSV", required=False)
 
     p_select = command(
         "select",
@@ -397,10 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument(
         "--table", help="translation table TSV (required for frs and walign)"
     )
-    p_select.add_argument(
-        "--out", required=True, help="selected hypotheses, one per line"
-    )
-    p_select.add_argument("--scores", help="also write all per-hypothesis scores as CSV")
+    output(p_select, "--out", "selected hypotheses, one per line")
+    output(p_select, "--scores", "also write all per-hypothesis scores as CSV", required=False)
 
     p_preorder = command(
         "preorder",
@@ -408,12 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "reorder source tokens monotonically with the target",
         [aligned],
     )
-    p_preorder.add_argument(
-        "--out-src", required=True, help="reordered source token file"
-    )
-    p_preorder.add_argument(
-        "--out-align", required=True, help="re-indexed alignment file"
-    )
+    output(p_preorder, "--out-src", "reordered source token file")
+    output(p_preorder, "--out-align", "re-indexed alignment file")
 
     p_calibrate = command(
         "calibrate",
@@ -435,13 +440,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BINS,
         help=f"number of equal-width bins, at most {MAX_BINS} (default %(default)s)",
     )
-    p_calibrate.add_argument("--out", required=True, help="output JSON report")
+    output(p_calibrate, "--out", "output JSON report")
 
     p_attn = command(
         "attn", _cmd_attn, "attention confidence per decoding iteration"
     )
     p_attn.add_argument("--attn", required=True, help="attention JSONL file")
-    p_attn.add_argument("--out", required=True, help="output CSV curve")
+    output(p_attn, "--out", "output CSV curve")
 
     p_report = command(
         "report",
@@ -464,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--distilled-align",
         help="distilled alignment file (default: train by EM)",
     )
-    p_report.add_argument("--out", required=True, help="output JSON comparison")
-    p_report.add_argument("--csv", help="also write a two-row CSV")
+    output(p_report, "--out", "output JSON comparison")
+    output(p_report, "--csv", "also write a two-row CSV", required=False)
 
     return parser
 

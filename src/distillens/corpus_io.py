@@ -410,16 +410,25 @@ def _require_int(record: dict, key: str, minimum: int) -> int:
     return value
 
 
-def _write_json_lines(objects: Iterable[dict], path: str) -> None:
-    """One sorted-key JSON object per line; NaN or ±inf is a ValueError."""
+def _write_json_lines(
+    objects: Iterable[dict], path: str, parse_line: Callable[[str], None]
+) -> None:
+    """One sorted-key JSON object per line, each read back by its reader's
+    ``parse_line`` before it is written; NaN or ±inf, or a line the
+    reader rejects, is a ValueError and no file is left."""
     with atomic_write(path) as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+        for number, obj in enumerate(objects, start=1):
+            line = json.dumps(obj, sort_keys=True, allow_nan=False)
+            try:
+                parse_line(line)
+            except FormatError as exc:
+                raise ValueError(f"record {number}: {exc}") from None
+            fh.write(line + "\n")
 
 
-def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
-    """Read per-token prediction records from a JSON-lines file."""
-    records = []
+def _token_prediction_parser() -> tuple[list[TokenPredictionRecord], Callable[[str], None]]:
+    """A fresh record list and the line parser that fills it."""
+    records: list[TokenPredictionRecord] = []
     seen_positions: set[tuple[int, int]] = set()
 
     def parse_line(raw: str) -> None:
@@ -449,12 +458,22 @@ def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
         seen_positions.add(key)
         records.append(TokenPredictionRecord(sentence_id, position, token, probability, correct))
 
+    return records, parse_line
+
+
+def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
+    """Read per-token prediction records from a JSON-lines file."""
+    records, parse_line = _token_prediction_parser()
     _read_lines(path, parse_line)
     return records
 
 
 def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str) -> None:
-    """Write one JSON object per record; ``correct`` is left out when None."""
+    """Write one JSON object per record; ``correct`` is left out when None.
+
+    A record that read_token_predictions would reject, a repeated
+    (sentence_id, position) included, is a ValueError and no file is left.
+    """
 
     def fields(record: TokenPredictionRecord) -> dict:
         obj = dict(vars(record))
@@ -462,24 +481,16 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
             del obj["correct"]
         return obj
 
-    _write_json_lines(map(fields, records), path)
+    _write_json_lines(map(fields, records), path, _token_prediction_parser()[1])
 
 
 # ---------------------------------------------------------------------------
 # attention exports
 
 
-def read_attention(path: str) -> list[AttentionRecord]:
-    """Read attention matrices from a JSON-lines file.
-
-    Each row is checked once, in this order: every weight is a JSON
-    number; every weight fits a float; no weight is negative or
-    non-finite (the first such weight is named as written); the row sums
-    to within 1e-4 of one. A row with defects of more than one kind gets
-    the message of the first check it fails. Rows that pass are
-    renormalized exactly; errors name the offending record's line number.
-    """
-    records = []
+def _attention_parser() -> tuple[list[AttentionRecord], Callable[[str], None]]:
+    """A fresh record list and the line parser that fills it."""
+    records: list[AttentionRecord] = []
 
     def parse_line(raw: str) -> None:
         if not raw.strip():
@@ -521,12 +532,28 @@ def read_attention(path: str) -> list[AttentionRecord]:
             rows.append(tuple(value / total for value in values))
         records.append(AttentionRecord(sentence_id, iteration, head, tuple(rows)))
 
+    return records, parse_line
+
+
+def read_attention(path: str) -> list[AttentionRecord]:
+    """Read attention matrices from a JSON-lines file.
+
+    Each row is checked once, in this order: every weight is a JSON
+    number; every weight fits a float; no weight is negative or
+    non-finite (the first such weight is named as written); the row sums
+    to within 1e-4 of one. A row with defects of more than one kind gets
+    the message of the first check it fails. Rows that pass are
+    renormalized exactly; errors name the offending record's line number.
+    """
+    records, parse_line = _attention_parser()
     _read_lines(path, parse_line)
     return records
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
-    _write_json_lines(map(vars, records), path)
+    """Write one JSON object per record. A record that read_attention
+    would reject is a ValueError and no file is left."""
+    _write_json_lines(map(vars, records), path, _attention_parser()[1])
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,29 @@ def _long_token_pairs(draw):
     return draw(tokens), draw(tokens)
 
 
+@st.composite
+def _wide_token_pairs(draw):
+    """A hypothesis and a reference of 0-200 tokens over 1-3 symbols, the
+    reference an edited copy of the hypothesis or unrelated to it, so the
+    packed keys span many int digits and ties are common."""
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+
+    def tokens(size):
+        return draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+
+    hyp = tokens(draw(st.integers(0, 200)))
+    if draw(st.booleans()):
+        return hyp, tokens(draw(st.integers(0, 200)))
+    ref = list(hyp)
+    for _ in range(draw(st.integers(0, 20))):
+        position = draw(st.integers(0, len(ref)))
+        if draw(st.booleans()) and position < len(ref):
+            del ref[position]
+        else:
+            ref.insert(position, draw(st.sampled_from(alphabet)))
+    return hyp, ref
+
+
 def _full_table_token_accuracy(hypothesis, reference):
     """token_accuracy as it was before the band: every cell of the table."""
     hyp = list(hypothesis)
@@ -204,6 +227,32 @@ class TestTokenAccuracy:
     def test_band_matches_full_table(self, pair):
         """The banded pass gives the labels of the full-table pass."""
         hyp, ref = pair
+        assert token_accuracy(hyp, ref) == _full_table_token_accuracy(hyp, ref)
+
+    @settings(max_examples=30)
+    @given(_wide_token_pairs())
+    def test_packed_keys_match_full_table(self, pair):
+        """Keys of over 200 bits give the labels of the tuple pass."""
+        hyp, ref = pair
+        assert token_accuracy(hyp, ref) == _full_table_token_accuracy(hyp, ref)
+
+    @pytest.mark.parametrize(
+        "hyp, ref",
+        [
+            (list("ab" * 60), list("ab" * 60) + ["c"] * 50),  # skew 50, slack 0
+            (["a"] * 150 + ["b"], ["b"] + ["a"] * 20),  # skew -130, slack 0
+            (list("abc" * 40), [  # skew -30, slack 2
+                "x" if k in (5, 25, 45, 65, 85) else token for k, token in enumerate("bca" * 30)
+            ]),
+            (list("abcab" * 40), []),
+            ([], list("abcab" * 40)),
+            (["a"] * 180, ["b"] * 200),  # every token mismatches
+            (list("ab" * 100), list("ab" * 100)),  # every token matches
+        ],
+        ids=["skew-50", "skew-minus-130", "skew-minus-30-slack-2", "empty-ref", "empty-hyp",
+             "all-mismatch", "all-match"],
+    )
+    def test_packed_keys_edge_cases(self, hyp, ref):
         assert token_accuracy(hyp, ref) == _full_table_token_accuracy(hyp, ref)
 
     @settings(max_examples=300)

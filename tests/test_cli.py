@@ -375,6 +375,81 @@ class TestLinklessAlignments:
         assert set(tmp_path.iterdir()) == inputs
 
 
+# every output flag, given the empty path; the other outputs of the run
+# are real paths, and none of them may be written
+_EMPTY_OUTPUT_RUNS = {
+    "align --out": "align --src S --tgt T --out '' --table OUT2",
+    "align --table": "align --src S --tgt T --out OUT --table ''",
+    "metrics --out": "metrics --src S --tgt T --align A --out '' --csv OUT2",
+    "metrics --csv": "metrics --src S --tgt T --align A --out OUT --csv ''",
+    "select --out": "select --kbest K --ref R --src S --cxty nmt --out '' --scores OUT2",
+    "select --scores": "select --kbest K --ref R --src S --cxty nmt --out OUT --scores ''",
+    "preorder --out-src": "preorder --src S --tgt T --align A --out-src '' --out-align OUT2",
+    "preorder --out-align": "preorder --src S --tgt T --align A --out-src OUT --out-align ''",
+    "calibrate --out": "calibrate --preds P --out ''",
+    "attn --out": "attn --attn J --out ''",
+    "report --out": "report --real-src S --real-tgt T --distilled-src S --distilled-tgt T "
+                    "--real-align A --distilled-align A --out '' --csv OUT2",
+    "report --csv": "report --real-src S --real-tgt T --distilled-src S --distilled-tgt T "
+                    "--real-align A --distilled-align A --out OUT --csv ''",
+}
+
+# every optional alignment input, given the empty path: it must fail to
+# open, not read as an absent flag (TestSelect covers select --table)
+_EMPTY_INPUT_RUNS = {
+    "metrics --real-align": "metrics --src S --tgt T --align A --real-src S --real-tgt T "
+                            "--real-align '' --out OUT",
+    "report --real-align": "report --real-src S --real-tgt T --distilled-src S "
+                           "--distilled-tgt T --real-align '' --distilled-align A --out OUT",
+    "report --distilled-align": "report --real-src S --real-tgt T --distilled-src S "
+                                "--distilled-tgt T --real-align A --distilled-align '' "
+                                "--out OUT",
+}
+
+
+class TestEmptyPaths:
+    """An empty path is a path, not an absent flag: as an output it is a
+    usage error naming its flag, as an input it fails to open."""
+
+    @pytest.fixture
+    def files(self, tmp_path, corpus_files):
+        src, tgt, aln = corpus_files
+        preds = {"sentence_id": 0, "position": 0, "token": "x", "probability": 0.5,
+                 "correct": True}
+        attn = {"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0]]}
+        return {
+            "S": src, "T": tgt, "A": aln, "''": "",
+            "OUT": str(tmp_path / "out"), "OUT2": str(tmp_path / "out2"),
+            "K": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -1.0\n"
+                        "2 ||| y ||| -1.0\n"),
+            "R": _write(tmp_path / "r", "x y\nx\ny\n"),
+            "P": _write(tmp_path / "p.jsonl", json.dumps(preds) + "\n"),
+            "J": _write(tmp_path / "a.jsonl", json.dumps(attn) + "\n"),
+        }
+
+    @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
+    def test_empty_output_rejected(self, tmp_path, capsys, files, case):
+        words = _EMPTY_OUTPUT_RUNS[case].split()
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words]) == 2
+        flag = case.split()[1]
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: output path must not be empty\n")
+        assert set(tmp_path.iterdir()) == inputs
+        # the same run with a real path in place of the empty one succeeds
+        files["''"] = str(tmp_path / "out3")
+        assert run([files.get(word, word) for word in words]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("case", sorted(_EMPTY_INPUT_RUNS))
+    def test_empty_input_fails_to_open(self, tmp_path, capsys, files, case):
+        words = _EMPTY_INPUT_RUNS[case].split()
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words]) == 2
+        assert capsys.readouterr().err == "distillens: [Errno 2] No such file or directory: ''\n"
+        assert set(tmp_path.iterdir()) == inputs
+
+
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
         src, tgt, _ = corpus_files
@@ -760,6 +835,33 @@ class TestCalibrate:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"distillens: {hyp} has 2 lines but {ref} has 1\n"
         assert not out.exists()
+
+    # sha256 of `calibrate` on the bundled predictions, whose correct flags
+    # all come from token_accuracy, and of `attn` on the bundled attention
+    # export. A speed-up must not move a byte; a change that means to
+    # moves them here and says why.
+    PINNED = {
+        "calibrate.json": "fe350268d94afab620031656e1a0324e0ff4962f45f25d0e85604714f3a7dc83",
+        "attn.csv": "4e6c94508de84fd8b84f7a49dae3a4249a35a9ab93dcf7e61bf40ddf47a9e36f",
+    }
+
+    def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
+        data = bundled_data_dir()
+        code = run(
+            ["calibrate", "--preds", str(data / "demo.preds.jsonl"),
+             "--hyp", str(data / "demo.hyp"), "--ref", str(data / "demo.ref"),
+             "--out", str(tmp_path / "calibrate.json")]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == "accuracy 82.22% confidence 65.80% ece 18.28%\n"
+        code = run(
+            ["attn", "--attn", str(data / "demo.attn.jsonl"), "--out", str(tmp_path / "attn.csv")]
+        )
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
+        }
+        assert digests == self.PINNED
 
     def test_hyp_requires_ref(self, tmp_path, capsys):
         preds = self._preds(tmp_path)

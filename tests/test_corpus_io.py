@@ -427,6 +427,52 @@ class TestJsonLinesWriters:
             write([record(0.5), record(value)], str(tmp_path / "out.jsonl"))
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "write, bad, message",
+        [
+            (write_token_predictions, TokenPredictionRecord(0, 1, "a", 1.5),
+             "probability 1.5 outside [0, 1]"),
+            (write_token_predictions, TokenPredictionRecord(-1, 0, "a", 0.5),
+             "field 'sentence_id' must be >= 0"),
+            (write_token_predictions, TokenPredictionRecord(0, -1, "a", 0.5),
+             "field 'position' must be >= 0"),
+            (write_token_predictions, TokenPredictionRecord(0, 0, "b", 0.5),
+             "duplicate position 0 in sentence 0"),
+            (write_token_predictions, TokenPredictionRecord(0, 1, "a", True),
+             "field 'probability' must be a number"),
+            (write_token_predictions, TokenPredictionRecord(0, 1, 5, 0.5),
+             "field 'token' must be a string"),
+            (write_token_predictions, TokenPredictionRecord(0, 1, "a", 0.5, 1),
+             "field 'correct' must be a boolean when present"),
+            (write_attention, AttentionRecord(0, 0, 0, ((1.0,),)),
+             "field 'iteration' must be >= 1"),
+            (write_attention, AttentionRecord(0, 1, -1, ((1.0,),)),
+             "field 'head' must be >= 0"),
+            (write_attention, AttentionRecord(0, 1, 0, ()),
+             "field 'weights' must be a non-empty matrix"),
+            (write_attention, AttentionRecord(0, 1, 0, ((),)),
+             "attention rows must be non-empty lists"),
+            (write_attention, AttentionRecord(0, 1, 0, ((1.0,), (0.5, 0.5))),
+             "attention rows must all have the same length"),
+            (write_attention, AttentionRecord(0, 1, 0, ((1.5, -0.5),)),
+             "attention weight -0.5 must be finite and >= 0"),
+            (write_attention, AttentionRecord(0, 1, 0, ((0.5, 0.4),)),
+             "attention row sums to 0.9, more than 0.0001 away from 1"),
+        ],
+    )
+    def test_what_the_reader_rejects_is_refused_with_no_file(
+        self, tmp_path, write, bad, message
+    ):
+        good = (
+            TokenPredictionRecord(0, 0, "a", 0.5)
+            if write is write_token_predictions
+            else AttentionRecord(0, 1, 0, ((1.0,),))
+        )
+        with pytest.raises(ValueError) as info:
+            write([good, bad], str(tmp_path / "out.jsonl"))
+        assert str(info.value) == f"record 2: {message}"
+        assert os.listdir(tmp_path) == []
+
 
 def _lines(line):
     """Text of 1-4 lines drawn from ``line``, each ending in a newline."""
