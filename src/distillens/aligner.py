@@ -206,8 +206,10 @@ def word_alignment_score(
 def write_table(table: TranslationTable, path: str) -> None:
     """Serialize a table as tab-separated ``x  y  p`` rows, sorted.
 
-    A probability outside [0, 1], NaN included, is a ValueError and no
-    file is left, so what is written always reads back.
+    A probability outside [0, 1], NaN included, or a word holding a tab
+    or a line break is a ValueError and no file is left, so what is
+    written always reads back. Each row is checked at C speed rather
+    than by read_table's line parser, which would double the write time.
     """
     with atomic_write(path) as fh:
         for x in sorted(table.probs):
@@ -222,7 +224,13 @@ def write_table(table: TranslationTable, path: str) -> None:
             ):
                 y, p = next((y, p) for y, p in row.items() if not 0.0 <= p <= 1.0)
                 raise ValueError(f"p({y!r} | {x!r}) must be in [0, 1], got {p!r}")
-            fh.write("".join([f"{x}\t{y}\t{row[y]!r}\n" for y in sorted(row)]))
+            chunk = "".join([f"{x}\t{y}\t{row[y]!r}\n" for y in sorted(row)])
+            # each row adds at least two tabs and one newline, so one more
+            # means a word holds it
+            if chunk.count("\t") + chunk.count("\n") != 3 * len(row) or "\r" in chunk:
+                word = next(w for w in (x, *row) if any(c in w for c in "\t\n\r"))
+                raise ValueError(f"word {word!r} holds a tab or a line break")
+            fh.write(chunk)
 
 
 def read_table(

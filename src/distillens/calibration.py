@@ -164,6 +164,13 @@ def token_accuracy(
     addition, so the cell-wise minimum is the global optimum and the
     labels are the bits of the mask at the first cell.
 
+    A cell whose tokens match takes the match. A path that deletes
+    hyp[i] and later pairs ref[j] with hyp[k] or inserts it has no fewer
+    edits, no more matches and no earlier match than one that matches
+    hyp[i] with ref[j] and deletes hyp[i + 1:k + 1] instead, whose cells
+    lie between two of the first path's, so in the band below.
+    Inserting ref[j] first is the mirror case.
+
     Each triple is packed into one int whose integer order is the
     triple's order. With n = len(hyp), full = 2**n - 1 and
     S = n + n.bit_length() + 1, the fields from the top are
@@ -234,9 +241,6 @@ def token_accuracy(
             up = below[j]
             if token == ref[j]:
                 best = diagonal - match
-                other = (up if up < left else left) + edit
-                if other < best:
-                    best = other
             else:
                 # substitution, deletion and insertion all cost one edit
                 best = diagonal if diagonal < up else up
@@ -265,6 +269,9 @@ def expected_calibration_error(
         raise ValueError(f"n_bins must be in 1..{MAX_BINS}, got {n_bins}")
     if not records:
         raise ValueError("records must be non-empty")
+    counts = [0] * n_bins
+    confidence_sums = [0.0] * n_bins
+    correct_counts = [0] * n_bins
     for record in records:
         if record.correct is None:
             raise ValidationError(
@@ -273,10 +280,6 @@ def expected_calibration_error(
                 "correct flag; ingest one or fill it from hypothesis and "
                 "reference tokens"
             )
-    counts = [0] * n_bins
-    confidence_sums = [0.0] * n_bins
-    correct_counts = [0] * n_bins
-    for record in records:
         index = min(int(record.probability * n_bins), n_bins - 1)
         counts[index] += 1
         confidence_sums[index] += record.probability

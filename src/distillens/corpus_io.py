@@ -20,7 +20,8 @@ the file and line. A Pharaoh line parses without its corpus, but an
 alignment file is read against its corpus: :func:`check_alignments`
 checks the count and the link bounds once, with errors naming the file
 and line. All parsed structures are immutable and safe to share across
-threads.
+threads. Every writer reads each line back with its reader's own line
+parser (:func:`_write_lines`), so what it writes always reads back.
 """
 
 from __future__ import annotations
@@ -214,17 +215,17 @@ def _read_lines(path: str, parse_line: Callable[[str], None]) -> None:
 # parallel corpus
 
 
+def _parse_tokens(raw: str) -> tuple[str, ...]:
+    tokens = raw.split()
+    if not tokens:
+        raise FormatError("empty line")
+    return tuple(tokens)
+
+
 def read_token_lines(path: str) -> list[tuple[str, ...]]:
     """One whitespace-tokenized sentence per line; blank lines are errors."""
     sentences = []
-
-    def parse_line(raw: str) -> None:
-        tokens = raw.split()
-        if not tokens:
-            raise FormatError("empty line")
-        sentences.append(tuple(tokens))
-
-    _read_lines(path, parse_line)
+    _read_lines(path, lambda raw: sentences.append(_parse_tokens(raw)))
     return sentences
 
 
@@ -247,9 +248,16 @@ def write_parallel_corpus(corpus: ParallelCorpus, src_path: str, tgt_path: str) 
 
 
 def write_token_lines(sentences: Sequence[Sequence[str]], path: str) -> None:
-    with atomic_write(path) as fh:
-        for tokens in sentences:
-            fh.write(" ".join(tokens) + "\n")
+    _write_lines(map(_join_tokens, sentences), path, _parse_tokens)
+
+
+def _join_tokens(tokens: Sequence[str]) -> str:
+    """Tokens joined by spaces; one that is empty or holds whitespace is a FormatError."""
+    line = " ".join(tokens)
+    if line.split() != list(tokens):
+        token = next(token for token in tokens if token.split() != [token])
+        raise FormatError(f"token {token!r} is empty or holds whitespace")
+    return line
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +317,34 @@ def check_alignments(
 
 
 def write_alignments(alignments: Sequence[Alignment], path: str) -> None:
-    with atomic_write(path) as fh:
-        for alignment in alignments:
-            fh.write(format_pharaoh(alignment) + "\n")
+    _write_lines(map(format_pharaoh, alignments), path, parse_pharaoh)
 
 
 # ---------------------------------------------------------------------------
 # k-best lists
+
+
+def _parse_kbest_line(raw: str) -> tuple[int, KBestEntry]:
+    """The sentence id and entry of one ``id ||| tokens ||| logprob`` line."""
+    parts = raw.rstrip("\n").split(" ||| ")
+    if len(parts) != 3:
+        raise FormatError("expected `id ||| tokens ||| logprob`")
+    try:
+        if not (parts[0].isascii() and parts[0].isdigit()):
+            raise ValueError
+        sentence_id = int(parts[0])
+    except ValueError:  # also more digits than int() accepts
+        raise FormatError(f"unparsable sentence id {parts[0]!r}") from None
+    hypothesis = tuple(parts[1].split())
+    if not hypothesis:
+        raise FormatError("empty hypothesis")
+    try:
+        logprob = float(parts[2])
+    except ValueError:
+        raise FormatError(f"unparsable log probability {parts[2]!r}") from None
+    if not (math.isfinite(logprob) and logprob <= 0.0):
+        raise FormatError(f"log probability must be finite and <= 0, got {parts[2]}")
+    return sentence_id, KBestEntry(hypothesis, logprob)
 
 
 def read_kbest(path: str) -> dict[int, KBestList]:
@@ -330,29 +359,12 @@ def read_kbest(path: str) -> dict[int, KBestList]:
 
     def parse_line(raw: str) -> None:
         nonlocal previous_id
-        parts = raw.rstrip("\n").split(" ||| ")
-        if len(parts) != 3:
-            raise FormatError("expected `id ||| tokens ||| logprob`")
-        try:
-            if not (parts[0].isascii() and parts[0].isdigit()):
-                raise ValueError
-            sentence_id = int(parts[0])
-        except ValueError:  # also more digits than int() accepts
-            raise FormatError(f"unparsable sentence id {parts[0]!r}") from None
+        sentence_id, entry = _parse_kbest_line(raw)
         if previous_id is not None and sentence_id < previous_id:
             raise FormatError(
                 f"sentence ids must be non-decreasing ({sentence_id} after {previous_id})"
             )
-        hypothesis = tuple(parts[1].split())
-        if not hypothesis:
-            raise FormatError("empty hypothesis")
-        try:
-            logprob = float(parts[2])
-        except ValueError:
-            raise FormatError(f"unparsable log probability {parts[2]!r}") from None
-        if not (math.isfinite(logprob) and logprob <= 0.0):
-            raise FormatError(f"log probability must be finite and <= 0, got {parts[2]}")
-        grouped.setdefault(sentence_id, []).append(KBestEntry(hypothesis, logprob))
+        grouped.setdefault(sentence_id, []).append(entry)
         previous_id = sentence_id
 
     _read_lines(path, parse_line)
@@ -363,23 +375,13 @@ def read_kbest(path: str) -> dict[int, KBestList]:
 
 
 def write_kbest(lists: Mapping[int, KBestList], path: str) -> None:
-    """Write ``id ||| tokens ||| logprob`` lines in id order.
-
-    A log probability that is not finite and <= 0 is a ValueError and no
-    file is left, so what is written always reads back.
-    """
-    with atomic_write(path) as fh:
-        for sentence_id in sorted(lists):
-            for entry in lists[sentence_id].entries:
-                if not -math.inf < entry.nmt_logprob <= 0.0:
-                    raise ValueError(
-                        f"sentence {sentence_id}: log probability must be finite "
-                        f"and <= 0, got {entry.nmt_logprob!r}"
-                    )
-                fh.write(
-                    f"{sentence_id} ||| {' '.join(entry.hypothesis)} ||| "
-                    f"{entry.nmt_logprob!r}\n"
-                )
+    """Write ``id ||| tokens ||| logprob`` lines in id order."""
+    lines = (
+        f"{sentence_id} ||| {_join_tokens(entry.hypothesis)} ||| {entry.nmt_logprob!r}"
+        for sentence_id in sorted(lists)
+        for entry in lists[sentence_id].entries
+    )
+    _write_lines(lines, path, _parse_kbest_line)
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +412,9 @@ def _require_int(record: dict, key: str, minimum: int) -> int:
     return value
 
 
-def _write_json_lines(
-    objects: Iterable[dict], path: str, parse_line: Callable[[str], None]
-) -> None:
-    """One sorted-key JSON object per line, each read back by its reader's
-    ``parse_line`` before it is written; NaN or ±inf, or a line the
-    reader rejects, is a ValueError and no file is left."""
-    with atomic_write(path) as fh:
-        for number, obj in enumerate(objects, start=1):
-            line = json.dumps(obj, sort_keys=True, allow_nan=False)
-            try:
-                parse_line(line)
-            except FormatError as exc:
-                raise ValueError(f"record {number}: {exc}") from None
-            fh.write(line + "\n")
+def _json_line(obj: dict) -> str:
+    """One sorted-key JSON object; NaN or ±inf is json's ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _token_prediction_parser() -> tuple[list[TokenPredictionRecord], Callable[[str], None]]:
@@ -469,11 +460,7 @@ def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
 
 
 def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str) -> None:
-    """Write one JSON object per record; ``correct`` is left out when None.
-
-    A record that read_token_predictions would reject, a repeated
-    (sentence_id, position) included, is a ValueError and no file is left.
-    """
+    """Write one JSON object per record; ``correct`` is left out when None."""
 
     def fields(record: TokenPredictionRecord) -> dict:
         obj = dict(vars(record))
@@ -481,7 +468,7 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
             del obj["correct"]
         return obj
 
-    _write_json_lines(map(fields, records), path, _token_prediction_parser()[1])
+    _write_lines(map(_json_line, map(fields, records)), path, _token_prediction_parser()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +538,27 @@ def read_attention(path: str) -> list[AttentionRecord]:
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
-    """Write one JSON object per record. A record that read_attention
-    would reject is a ValueError and no file is left."""
-    _write_json_lines(map(vars, records), path, _attention_parser()[1])
+    """Write one JSON object per record."""
+    _write_lines(map(_json_line, map(vars, records)), path, _attention_parser()[1])
 
 
 # ---------------------------------------------------------------------------
-# atomic output
+# line writer and atomic output
+
+
+def _write_lines(lines: Iterable[str], path: str, parse_line: Callable[[str], object]) -> None:
+    """Write each line after reading it back with its reader's ``parse_line``.
+    A FormatError from building or parsing line N is a ValueError
+    ``record N: <message>`` and no file is left."""
+    number = 1
+    with atomic_write(path) as fh:
+        try:
+            for line in lines:
+                parse_line(line)
+                fh.write(line + "\n")
+                number += 1
+        except FormatError as exc:
+            raise ValueError(f"record {number}: {exc}") from None
 
 
 @contextmanager

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from distillens import (
     ParallelCorpus,
     SentencePair,
     TokenPredictionRecord,
+    TranslationTable,
     ValidationError,
     check_alignments,
     format_pharaoh,
@@ -38,6 +40,8 @@ from distillens import (
     write_attention,
     write_kbest,
     write_parallel_corpus,
+    write_table,
+    write_token_lines,
     write_token_predictions,
 )
 from distillens.corpus_io import atomic_write
@@ -634,6 +638,208 @@ class TestEveryReader:
             ("corpus_io", "_read_lines", "open"),
             ("corpus_io", "atomic_write", "os.fdopen"),
         }
+
+
+def _mostly(good, bad):
+    """One of ``good`` about nine times in ten, else one of ``bad``."""
+    return st.sampled_from(list(good) * (1 + 9 * len(bad) // len(good)) + list(bad))
+
+
+# Writer inputs: mostly valid values, with values the reader rejects or
+# would read back differently mixed in. Each format maps to (a strategy
+# for x, the text x reads as when written naively, the writer, the
+# reader, and what the reader returns for an x that reads back).
+_WORD = _mostly(["a", "b", "|||"], ["", "a b", "a\rb", "a\nb", "a\tb", "\x85"])
+_SENTENCE = st.tuples(_mostly([True], [False]), st.lists(_WORD, min_size=1, max_size=3)).map(
+    lambda drawn: tuple(drawn[1]) if drawn[0] else ()
+)
+_BAD_FLOAT = [math.nan, math.inf, -math.inf]
+
+
+def _renormalized(weights):
+    return tuple(tuple(value / sum(row) for value in row) for row in weights)
+
+
+def _prediction_fields(record):
+    return {k: v for k, v in vars(record).items() if not (k == "correct" and v is None)}
+
+
+_WRITERS = {
+    "token_lines": (
+        st.lists(_SENTENCE, max_size=4),
+        lambda x: "".join(" ".join(tokens) + "\n" for tokens in x),
+        write_token_lines,
+        read_token_lines,
+        lambda x: [tuple(tokens) for tokens in x],
+    ),
+    "alignments": (
+        st.lists(
+            st.frozensets(st.tuples(_mostly(range(7), [-1]), st.integers(0, 6)), max_size=3).map(
+                Alignment
+            ),
+            max_size=4,
+        ),
+        lambda x: "".join(format_pharaoh(alignment) + "\n" for alignment in x),
+        write_alignments,
+        None,  # read against a corpus of len(x) pairs, in the test
+        lambda x: x,
+    ),
+    "kbest": (
+        st.dictionaries(
+            st.integers(0, 3),
+            st.lists(
+                st.builds(
+                    KBestEntry,
+                    _SENTENCE,
+                    _mostly([-1.0, 0.0, -0.5, -2.5e-7], [0.5, 5e-324, *_BAD_FLOAT]),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=3,
+        ).map(lambda lists: {i: KBestList(i, tuple(entries)) for i, entries in lists.items()}),
+        lambda x: "".join(
+            f"{i} ||| {' '.join(entry.hypothesis)} ||| {entry.nmt_logprob!r}\n"
+            for i in sorted(x)
+            for entry in x[i].entries
+        ),
+        write_kbest,
+        read_kbest,
+        lambda x: x,
+    ),
+    "table": (
+        st.dictionaries(
+            _WORD,
+            st.dictionaries(
+                _WORD, _mostly([0.5, 1.0, 0.0, 1e-12], [1.5, -0.5, *_BAD_FLOAT]),
+                min_size=1, max_size=3,
+            ),
+            max_size=3,
+        ).map(TranslationTable),
+        lambda x: "".join(
+            f"{s}\t{t}\t{x.probs[s][t]!r}\n" for s in sorted(x.probs) for t in sorted(x.probs[s])
+        ),
+        write_table,
+        read_table,
+        lambda x: x,
+    ),
+    "predictions": (
+        st.lists(
+            st.builds(
+                TokenPredictionRecord,
+                _mostly([0, 1], [-1]),
+                st.integers(0, 9),
+                _WORD,
+                _mostly([0.0, 0.25, 1.0, 1], [1.5, *_BAD_FLOAT]),
+                st.sampled_from([None, True, False]),
+            ),
+            max_size=4,
+        ),
+        lambda x: "".join(json.dumps(_prediction_fields(r), sort_keys=True) + "\n" for r in x),
+        write_token_predictions,
+        read_token_predictions,
+        lambda x: x,
+    ),
+    "attention": (
+        st.lists(
+            st.builds(
+                AttentionRecord,
+                st.integers(0, 1),
+                _mostly([1, 2], [0]),
+                st.integers(0, 1),
+                _mostly(
+                    [((1.0,),), ((0.5, 0.5),), ((0.25, 0.75), (1.0, 0.0)), ((0.5, 0.50001),),
+                     ((1, 0),)],
+                    [((0.5, 0.4),), (), ((),), ((1.0,), (0.5, 0.5)), ((1.5, -0.5),),
+                     ((math.nan, 1.0),)],
+                ),
+            ),
+            max_size=4,
+        ),
+        lambda x: "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in x),
+        write_attention,
+        read_attention,
+        lambda x: [dataclasses.replace(r, weights=_renormalized(r.weights)) for r in x],
+    ),
+}
+
+
+def _one_list(*hypotheses):
+    """K-best lists holding one list, each hypothesis at log probability -1."""
+    return {0: KBestList(0, tuple(KBestEntry(h, -1.0) for h in hypotheses))}
+
+
+class TestEveryWriter:
+    @pytest.mark.parametrize("name", sorted(_WRITERS))
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_writes_exactly_what_reads_back(self, name, data):
+        """A writer refuses x, with a ValueError and no file left, exactly
+        when x written naively would be rejected or read back as something
+        else; what it does write reads back as x."""
+        strategy, naive, write, read, expected = _WRITERS[name]
+        x = data.draw(strategy)
+        if read is None:
+            corpus = _corpus(*[(7, 7)] * len(x))
+            read = lambda path: read_alignments(path, corpus)  # noqa: E731
+        with tempfile.TemporaryDirectory() as directory:
+            naive_path = _write(os.path.join(directory, "naive"), naive(x))
+            try:
+                reads_back = read(naive_path) == expected(x)
+            except DistillensError:
+                reads_back = False
+            os.unlink(naive_path)
+            path = os.path.join(directory, "out")
+            try:
+                write(x, path)
+            except ValueError:
+                assert not reads_back
+                assert os.listdir(directory) == []
+                return
+            assert reads_back
+            assert read(path) == expected(x)
+
+    @pytest.mark.parametrize(
+        "write, x, message",
+        [
+            (write_token_lines, [("a",), ()], "record 2: empty line"),
+            (write_token_lines, [("a\rb",)],
+             "record 1: token 'a\\rb' is empty or holds whitespace"),
+            (write_token_lines, [("a b",)], "record 1: token 'a b' is empty or holds whitespace"),
+            (write_token_lines, [("a", "")], "record 1: token '' is empty or holds whitespace"),
+            (write_alignments, [Alignment(frozenset({(0, 0)})), Alignment(frozenset({(-1, 0)}))],
+             "record 2: malformed alignment link '-1-0' at token 1"),
+            (write_kbest, _one_list(()), "record 1: empty hypothesis"),
+            (write_kbest, _one_list(("a",), ("a b",)),
+             "record 2: token 'a b' is empty or holds whitespace"),
+            (write_kbest, _one_list(("a\nb",)),
+             "record 1: token 'a\\nb' is empty or holds whitespace"),
+            (write_kbest, _one_list(("a", "|||")),
+             "record 1: unparsable log probability '||| -1.0'"),
+            (write_table, TranslationTable({"a\tb": {"x": 1.0}}),
+             "word 'a\\tb' holds a tab or a line break"),
+            (write_table, TranslationTable({"a": {"x": 0.5, "x\ny": 0.5}}),
+             "word 'x\\ny' holds a tab or a line break"),
+            (write_table, TranslationTable({"a": {"x\r": 1.0}}),
+             "word 'x\\r' holds a tab or a line break"),
+        ],
+    )
+    def test_refusal_names_the_record(self, tmp_path, write, x, message):
+        with pytest.raises(ValueError) as info:
+            write(x, str(tmp_path / "out"))
+        assert str(info.value) == message
+        assert os.listdir(tmp_path) == []
+
+    def test_only_write_lines_enters_atomic_write(self):
+        tree = ast.parse(Path(distillens.corpus_io.__file__).read_text(encoding="utf-8"))
+        callers = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "atomic_write"
+        }
+        assert callers == {"_write_lines"}
 
 
 class TestAtomicWrite:
