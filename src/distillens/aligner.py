@@ -206,21 +206,24 @@ def word_alignment_score(
 def write_table(table: TranslationTable, path: str) -> None:
     """Serialize a table as tab-separated ``x  y  p`` rows, sorted.
 
-    A probability outside [0, 1], NaN included, or a word holding a tab
-    or a line break is a ValueError and no file is left, so what is
-    written always reads back. Each row is checked at C speed rather
-    than by read_table's line parser, which would double the write time.
+    A probability outside [0, 1], NaN included, a word holding a tab
+    or a line break, or a source word with an empty row (it has no line)
+    is a ValueError and no file is left, so what is written always reads
+    back. Each row is checked at C speed rather than by read_table's
+    line parser, which would double the write time.
     """
     with atomic_write(path) as fh:
         for x in sorted(table.probs):
             row = table.probs[x]
+            if not row:
+                raise ValueError(f"source word {x!r} has an empty row")
             values = row.values()
             # whole-row check at C speed; min and max skip a NaN that is
             # not first, the sum does not
             if not (
                 math.isfinite(sum(values))
-                and min(values, default=0.0) >= 0.0
-                and max(values, default=0.0) <= 1.0
+                and min(values) >= 0.0
+                and max(values) <= 1.0
             ):
                 y, p = next((y, p) for y, p in row.items() if not 0.0 <= p <= 1.0)
                 raise ValueError(f"p({y!r} | {x!r}) must be in [0, 1], got {p!r}")
@@ -290,5 +293,7 @@ def read_table(
         if row is not None and (kept_targets is None or y in kept_targets):
             row[intern(y)] = p
 
+    # parse_line stores each line in probs through its cached row and
+    # returns None, so _read_lines collects nothing for a table
     _read_lines(path, parse_line)
     return TranslationTable(probs)

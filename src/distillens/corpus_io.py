@@ -14,14 +14,18 @@ Formats handled here:
 * Token predictions and attention exports: one JSON object per line.
 
 Every input file is UTF-8 text whose lines end at ``\n``, ``\r\n`` or
-``\r``, and every reader goes through :func:`_read_lines`, so a bad line,
+``\r``, and every reader is one call to :func:`_read_lines` with a line
+parser: the parser turns one line into one record, or None for a line
+that holds none (a blank JSON line), and keeps no records itself;
+:func:`_read_lines` returns the records in file order. So a bad line,
 including a byte that is not UTF-8, is a :class:`FormatError` naming
 the file and line. A Pharaoh line parses without its corpus, but an
 alignment file is read against its corpus: :func:`check_alignments`
 checks the count and the link bounds once, with errors naming the file
 and line. All parsed structures are immutable and safe to share across
 threads. Every writer reads each line back with its reader's own line
-parser (:func:`_write_lines`), so what it writes always reads back.
+parser (:func:`_write_lines`), so what it writes always reads back,
+and the read-back keeps no copy of what it writes.
 """
 
 from __future__ import annotations
@@ -183,21 +187,25 @@ class AttentionRecord:
 # line reader
 
 
-def _read_lines(path: str, parse_line: Callable[[str], None]) -> None:
-    """Call ``parse_line`` on each line of the UTF-8 text file ``path``, in order.
+def _read_lines(path: str, parse_line: Callable[[str], object]) -> list:
+    """What ``parse_line`` returns for each line of the UTF-8 text file
+    ``path``, in order, leaving out None.
 
     ``parse_line`` raises :class:`FormatError` without a location; it is
     re-raised naming ``path`` and the line. A byte that is not UTF-8 is
     the error ``not valid UTF-8`` at the first line holding one.
     """
+    records = []
     lineno = 0
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 try:
-                    parse_line(raw)
+                    record = parse_line(raw)
                 except FormatError as exc:
                     raise FormatError(str(exc), path=path, line=lineno) from None
+                if record is not None:
+                    records.append(record)
     except UnicodeDecodeError:
         # the decoder reads ahead in chunks, so lineno need not be the bad
         # line; find it by re-reading with each bad byte kept as a lone
@@ -209,6 +217,7 @@ def _read_lines(path: str, parse_line: Callable[[str], None]) -> None:
                 except UnicodeEncodeError:
                     break
         raise FormatError("not valid UTF-8", path=path, line=lineno) from None
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +233,7 @@ def _parse_tokens(raw: str) -> tuple[str, ...]:
 
 def read_token_lines(path: str) -> list[tuple[str, ...]]:
     """One whitespace-tokenized sentence per line; blank lines are errors."""
-    sentences = []
-    _read_lines(path, lambda raw: sentences.append(_parse_tokens(raw)))
-    return sentences
+    return _read_lines(path, _parse_tokens)
 
 
 def read_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
@@ -290,8 +297,7 @@ def format_pharaoh(alignment: Alignment) -> str:
 
 def read_alignments(path: str, corpus: ParallelCorpus) -> list[Alignment]:
     """Read one Alignment per line from a Pharaoh file and check it against ``corpus``."""
-    alignments = []
-    _read_lines(path, lambda raw: alignments.append(parse_pharaoh(raw)))
+    alignments = _read_lines(path, parse_pharaoh)
     check_alignments(corpus, alignments, path)
     return alignments
 
@@ -354,20 +360,21 @@ def read_kbest(path: str) -> dict[int, KBestList]:
     hypotheses form one contiguous block; order within a block is
     preserved.
     """
-    grouped: dict[int, list[KBestEntry]] = {}
-    previous_id: int | None = None
+    previous_id = 0
 
-    def parse_line(raw: str) -> None:
+    def parse_line(raw: str) -> tuple[int, KBestEntry]:
         nonlocal previous_id
         sentence_id, entry = _parse_kbest_line(raw)
-        if previous_id is not None and sentence_id < previous_id:
+        if sentence_id < previous_id:
             raise FormatError(
                 f"sentence ids must be non-decreasing ({sentence_id} after {previous_id})"
             )
-        grouped.setdefault(sentence_id, []).append(entry)
         previous_id = sentence_id
+        return sentence_id, entry
 
-    _read_lines(path, parse_line)
+    grouped: dict[int, list[KBestEntry]] = {}
+    for sentence_id, entry in _read_lines(path, parse_line):
+        grouped.setdefault(sentence_id, []).append(entry)
     return {
         sentence_id: KBestList(sentence_id, tuple(entries))
         for sentence_id, entries in grouped.items()
@@ -375,7 +382,16 @@ def read_kbest(path: str) -> dict[int, KBestList]:
 
 
 def write_kbest(lists: Mapping[int, KBestList], path: str) -> None:
-    """Write ``id ||| tokens ||| logprob`` lines in id order."""
+    """Write ``id ||| tokens ||| logprob`` lines in id order.
+
+    A list with no entries, or held under a key other than its sentence
+    id, would not read back, so it is a ValueError and no file is left.
+    """
+    for key, kbest in lists.items():
+        if kbest.sentence_id != key:
+            raise ValueError(f"k-best list {key!r} holds sentence id {kbest.sentence_id!r}")
+        if not kbest.entries:
+            raise ValueError(f"k-best list {key!r} has no entries")
     lines = (
         f"{sentence_id} ||| {_join_tokens(entry.hypothesis)} ||| {entry.nmt_logprob!r}"
         for sentence_id in sorted(lists)
@@ -417,14 +433,14 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def _token_prediction_parser() -> tuple[list[TokenPredictionRecord], Callable[[str], None]]:
-    """A fresh record list and the line parser that fills it."""
-    records: list[TokenPredictionRecord] = []
+def _token_prediction_parser() -> Callable[[str], TokenPredictionRecord | None]:
+    """A line parser for one file: it refuses a (sentence, position) pair
+    that an earlier line of that file held."""
     seen_positions: set[tuple[int, int]] = set()
 
-    def parse_line(raw: str) -> None:
+    def parse_line(raw: str) -> TokenPredictionRecord | None:
         if not raw.strip():
-            return
+            return None
         obj = _load_json_line(raw)
         sentence_id = _require_int(obj, "sentence_id", 0)
         position = _require_int(obj, "position", 0)
@@ -447,16 +463,14 @@ def _token_prediction_parser() -> tuple[list[TokenPredictionRecord], Callable[[s
         if key in seen_positions:
             raise FormatError(f"duplicate position {position} in sentence {sentence_id}")
         seen_positions.add(key)
-        records.append(TokenPredictionRecord(sentence_id, position, token, probability, correct))
+        return TokenPredictionRecord(sentence_id, position, token, probability, correct)
 
-    return records, parse_line
+    return parse_line
 
 
 def read_token_predictions(path: str) -> list[TokenPredictionRecord]:
     """Read per-token prediction records from a JSON-lines file."""
-    records, parse_line = _token_prediction_parser()
-    _read_lines(path, parse_line)
-    return records
+    return _read_lines(path, _token_prediction_parser())
 
 
 def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str) -> None:
@@ -468,58 +482,52 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
             del obj["correct"]
         return obj
 
-    _write_lines(map(_json_line, map(fields, records)), path, _token_prediction_parser()[1])
+    _write_lines(map(_json_line, map(fields, records)), path, _token_prediction_parser())
 
 
 # ---------------------------------------------------------------------------
 # attention exports
 
 
-def _attention_parser() -> tuple[list[AttentionRecord], Callable[[str], None]]:
-    """A fresh record list and the line parser that fills it."""
-    records: list[AttentionRecord] = []
-
-    def parse_line(raw: str) -> None:
-        if not raw.strip():
-            return
-        obj = _load_json_line(raw)
-        sentence_id = _require_int(obj, "sentence_id", 0)
-        iteration = _require_int(obj, "iteration", 1)
-        head = _require_int(obj, "head", 0)
-        weights = obj.get("weights")
-        if not isinstance(weights, list) or not weights:
-            raise FormatError("field 'weights' must be a non-empty matrix")
-        rows = []
-        width: int | None = None
-        for row in weights:
-            if not isinstance(row, list) or not row:
-                raise FormatError("attention rows must be non-empty lists")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError("attention rows must all have the same length")
-            # whole-row checks at C speed; type() also rules out bool
-            if not {int, float}.issuperset(map(type, row)):
-                raise FormatError("attention weights must be numbers")
-            try:
-                values = list(map(float, row))
-            except OverflowError:  # a JSON integer too large for a float
-                raise FormatError("attention weight is too large") from None
-            total = sum(values)
-            if not (min(values) >= 0.0 and math.isfinite(total)):
-                for value, weight in zip(values, row):
-                    if not (math.isfinite(value) and value >= 0.0):
-                        raise FormatError(f"attention weight {weight} must be finite and >= 0")
-            # a finite row whose sum overflows fails here as "sums to inf"
-            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                raise FormatError(
-                    f"attention row sums to {total!r}, more than "
-                    f"{ROW_SUM_TOLERANCE} away from 1"
-                )
-            rows.append(tuple(value / total for value in values))
-        records.append(AttentionRecord(sentence_id, iteration, head, tuple(rows)))
-
-    return records, parse_line
+def _parse_attention(raw: str) -> AttentionRecord | None:
+    if not raw.strip():
+        return None
+    obj = _load_json_line(raw)
+    sentence_id = _require_int(obj, "sentence_id", 0)
+    iteration = _require_int(obj, "iteration", 1)
+    head = _require_int(obj, "head", 0)
+    weights = obj.get("weights")
+    if not isinstance(weights, list) or not weights:
+        raise FormatError("field 'weights' must be a non-empty matrix")
+    rows = []
+    width: int | None = None
+    for row in weights:
+        if not isinstance(row, list) or not row:
+            raise FormatError("attention rows must be non-empty lists")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise FormatError("attention rows must all have the same length")
+        # whole-row checks at C speed; type() also rules out bool
+        if not {int, float}.issuperset(map(type, row)):
+            raise FormatError("attention weights must be numbers")
+        try:
+            values = list(map(float, row))
+        except OverflowError:  # a JSON integer too large for a float
+            raise FormatError("attention weight is too large") from None
+        total = sum(values)
+        if not (min(values) >= 0.0 and math.isfinite(total)):
+            for value, weight in zip(values, row):
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise FormatError(f"attention weight {weight} must be finite and >= 0")
+        # a finite row whose sum overflows fails here as "sums to inf"
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+            raise FormatError(
+                f"attention row sums to {total!r}, more than "
+                f"{ROW_SUM_TOLERANCE} away from 1"
+            )
+        rows.append(tuple(value / total for value in values))
+    return AttentionRecord(sentence_id, iteration, head, tuple(rows))
 
 
 def read_attention(path: str) -> list[AttentionRecord]:
@@ -532,14 +540,12 @@ def read_attention(path: str) -> list[AttentionRecord]:
     the message of the first check it fails. Rows that pass are
     renormalized exactly; errors name the offending record's line number.
     """
-    records, parse_line = _attention_parser()
-    _read_lines(path, parse_line)
-    return records
+    return _read_lines(path, _parse_attention)
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
     """Write one JSON object per record."""
-    _write_lines(map(_json_line, map(vars, records)), path, _attention_parser()[1])
+    _write_lines(map(_json_line, map(vars, records)), path, _parse_attention)
 
 
 # ---------------------------------------------------------------------------

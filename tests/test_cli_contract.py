@@ -1,0 +1,174 @@
+"""The CLI's contract, fuzzed with malformed variants of the bundled files.
+
+Every run of a subcommand ends one of two ways. It exits 0, and every
+JSON output parses and no output holds a NaN or infinite cell; or it
+exits 1 or 2, with a last stderr line that starts with ``distillens: ``
+and names one of the run's input files, no traceback and no output
+file. Each variant changes one input file once: a line dropped,
+duplicated or blanked, a byte that is not UTF-8, a number replaced by
+``nan``, ``inf``, ``1e400`` or ``-1``, or a stray tab. Where in the file
+is drawn from a ``random.Random`` seeded with the case's name, so every
+run tries the same variants.
+"""
+
+import csv
+import json
+import math
+import random
+import re
+import shutil
+
+import pytest
+
+from distillens import bundled_data_dir
+from distillens.cli import run
+
+# subcommand -> argv; a word naming a bundled file (or table.tsv, which
+# the fixture trains) is an input, and OUT. marks an output
+_RUNS = {
+    "align": "align --src real.src --tgt real.tgt --iters 2 --out OUT.aln --table OUT.tsv",
+    "metrics": "metrics --src distilled.src --tgt distilled.tgt --align distilled.aln "
+    "--real-src real.src --real-tgt real.tgt --real-align real.aln --out OUT.json --csv OUT.csv",
+    "select": "select --kbest demo.kbest --ref demo.ref --src real.src --cxty walign "
+    "--table table.tsv --out OUT.out --scores OUT.csv",
+    "preorder": "preorder --src real.src --tgt real.tgt --align real.aln "
+    "--out-src OUT.src --out-align OUT.aln",
+    "calibrate": "calibrate --preds demo.preds.jsonl --hyp demo.hyp --ref demo.ref --out OUT.json",
+    "attn": "attn --attn demo.attn.jsonl --out OUT.csv",
+    "report": "report --real-src real.src --real-tgt real.tgt --real-align real.aln "
+    "--distilled-src distilled.src --distilled-tgt distilled.tgt --iters 2 "
+    "--out OUT.json --csv OUT.csv",
+}
+
+# a number standing alone, not the digits inside a token such as src04
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _drop(text, rng):
+    lines = text.splitlines(keepends=True)
+    del lines[rng.randrange(len(lines))]
+    return "".join(lines)
+
+
+def _duplicate(text, rng):
+    lines = text.splitlines(keepends=True)
+    at = rng.randrange(len(lines))
+    lines.insert(at, lines[at])
+    return "".join(lines)
+
+
+def _blank(text, rng):
+    lines = text.splitlines(keepends=True)
+    lines.insert(rng.randrange(len(lines) + 1), "\n")
+    return "".join(lines)
+
+
+def _insert(piece):
+    def mutate(text, rng):
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + piece + text[at:]
+
+    return mutate
+
+
+def _number(replacement):
+    def mutate(text, rng):
+        numbers = list(_NUMBER.finditer(text))
+        if not numbers:
+            return None
+        match = rng.choice(numbers)
+        return text[: match.start()] + replacement + text[match.end() :]
+
+    return mutate
+
+
+_MUTATIONS = {
+    "drop": _drop,
+    "duplicate": _duplicate,
+    "blank": _blank,
+    "non-utf8": _insert("\udcff"),  # written back as the byte 0xff
+    "nan": _number("nan"),
+    "inf": _number("inf"),
+    "1e400": _number("1e400"),
+    "-1": _number("-1"),
+    "tab": _insert("\t"),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The bundled files, and a table trained on the real corpus."""
+    directory = tmp_path_factory.mktemp("inputs")
+    for path in bundled_data_dir().iterdir():
+        shutil.copy(path, directory)
+    argv = ["align", "--src", str(directory / "real.src"), "--tgt", str(directory / "real.tgt"),
+            "--out", str(directory / "real.trained.aln"), "--table", str(directory / "table.tsv")]
+    assert run(argv) == 0
+    return directory
+
+
+def _non_finite(cell):
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _output_faults(path):
+    """What is wrong with one output of a run that exited 0."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        constants = []  # NaN, Infinity and -Infinity
+        try:
+            json.loads(text, parse_constant=constants.append)
+        except ValueError as exc:
+            return [f"{path.name} is not JSON: {exc}"]
+        return [f"{path.name} holds {constant}" for constant in constants]
+    if path.suffix == ".csv":
+        cells = [cell for row in csv.reader(text.splitlines()) for cell in row]
+    else:
+        cells = text.split()
+    return [f"{path.name} holds {cell!r}" for cell in cells if _non_finite(cell)]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_RUNS))
+def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
+    words = _RUNS[subcommand].split()
+    files = [word for word in words if (inputs / word).is_file()]
+    faults = []
+    cases = [(None, None)] + [(name, mutation) for name in files for mutation in _MUTATIONS]
+    for name, mutation in cases:
+        case = f"{subcommand} {name} {mutation}"
+        paths = {word: str(inputs / word) for word in files}
+        if name is not None:
+            text = (inputs / name).read_text(encoding="utf-8")
+            mutated = _MUTATIONS[mutation](text, random.Random(case))
+            if mutated is None:  # no number to replace
+                continue
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_bytes(mutated.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [
+            paths.get(word, str(out / word[4:]) if word.startswith("OUT.") else word)
+            for word in words
+        ]
+        code = run(argv)
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1] if err else ""
+        if "Traceback" in err:
+            faults.append(f"{case}: traceback")
+        if code == 0:
+            faults.extend(f"{case}: {fault}" for path in out.iterdir()
+                          for fault in _output_faults(path))
+        elif code not in (1, 2):
+            faults.append(f"{case}: exit {code}")
+        else:
+            if not (last.startswith("distillens: ") and any(p in last for p in paths.values())):
+                faults.append(f"{case}: exit {code} with {last!r}")
+            if any(out.iterdir()):
+                faults.append(f"{case}: exit {code} left {sorted(p.name for p in out.iterdir())}")
+        if name is None and code != 0:
+            faults.append(f"{case}: the unchanged files exit {code}: {last!r}")
+        shutil.rmtree(out)
+    assert faults == []

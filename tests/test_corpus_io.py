@@ -639,6 +639,38 @@ class TestEveryReader:
             ("corpus_io", "atomic_write", "os.fdopen"),
         }
 
+    def test_only_read_lines_collects_records(self):
+        """No function nested in another in corpus_io appends to a list it
+        does not bind itself, so a line parser returns its record and
+        _read_lines alone collects them."""
+        tree = ast.parse(Path(distillens.corpus_io.__file__).read_text(encoding="utf-8"))
+        functions = (ast.FunctionDef, ast.Lambda)
+        nested = [
+            inner
+            for outer in ast.walk(tree)
+            if isinstance(outer, functions)
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, functions)
+        ]
+        appends = []
+        for function in nested:
+            nodes = list(ast.walk(function))
+            bound = {node.arg for node in nodes if isinstance(node, ast.arg)}
+            bound |= {
+                node.id
+                for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+            bound -= {name for node in nodes if isinstance(node, ast.Nonlocal) for name in node.names}
+            for node in nodes:
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".append"):
+                    target = node.func.value  # down to the name the list hangs from
+                    while isinstance(target, (ast.Attribute, ast.Call, ast.Subscript)):
+                        target = target.func if isinstance(target, ast.Call) else target.value
+                    if not (isinstance(target, ast.Name) and target.id in bound):
+                        appends.append(ast.unparse(node))
+        assert appends == []
+
 
 def _mostly(good, bad):
     """One of ``good`` about nine times in ten, else one of ``bad``."""
@@ -822,6 +854,12 @@ class TestEveryWriter:
              "word 'x\\ny' holds a tab or a line break"),
             (write_table, TranslationTable({"a": {"x\r": 1.0}}),
              "word 'x\\r' holds a tab or a line break"),
+            (write_kbest, {0: KBestList(0, ()), 1: KBestList(1, _one_list(("a",))[0].entries)},
+             "k-best list 0 has no entries"),
+            (write_kbest, {0: KBestList(5, _one_list(("a",))[0].entries)},
+             "k-best list 0 holds sentence id 5"),
+            (write_table, TranslationTable({"a": {}, "b": {"x": 1.0}}),
+             "source word 'a' has an empty row"),
         ],
     )
     def test_refusal_names_the_record(self, tmp_path, write, x, message):
