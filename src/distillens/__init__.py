@@ -7,8 +7,6 @@ lists, reorders source text monotonically, and evaluates model confidence
 and calibration from exported predictions and attention weights.
 """
 
-from importlib import resources
-
 from .errors import *
 from .corpus_io import *
 from .aligner import *
@@ -34,4 +32,8 @@ __all__ = [
 
 def bundled_data_dir():
     """Directory of the small synthetic corpora shipped with the package."""
+    # imported here, so that importing a subcommand does not load
+    # importlib.resources and the pathlib it pulls in
+    from importlib import resources
+
     return resources.files("distillens") / "data"

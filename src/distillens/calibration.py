@@ -14,9 +14,9 @@ format them at display time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .corpus_io import AttentionRecord, TokenPredictionRecord
+from .corpus_io import AttentionRecord, TokenPredictionRecord, _add_in_order
 from .errors import ValidationError
 
 __all__ = [
@@ -78,9 +78,14 @@ def attention_confidence(
     with one row per target position.
     """
     rows = attention.weights if isinstance(attention, AttentionRecord) else attention
-    if not rows:
+    return _mean_peak([max(row) for row in rows])
+
+
+def _mean_peak(peaks: Sequence[float]) -> float:
+    """Attention confidence of a matrix from the largest weight of each row."""
+    if not peaks:
         raise ValueError("attention matrix has no rows")
-    return sum(max(row) for row in rows) / len(rows)
+    return _add_in_order(peaks) / len(peaks)
 
 
 def confidence_by_iteration(
@@ -93,13 +98,20 @@ def confidence_by_iteration(
     """
     if not records:
         raise ValueError("records must be non-empty")
+    return _confidence_by_iteration(
+        (record.iteration, [max(row) for row in record.weights]) for record in records
+    )
+
+
+def _confidence_by_iteration(
+    matrices: Iterable[tuple[int, Sequence[float]]],
+) -> dict[int, float]:
+    """confidence_by_iteration from each matrix's iteration and row peaks."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for record in records:
-        sums[record.iteration] = sums.get(record.iteration, 0.0) + attention_confidence(
-            record
-        )
-        counts[record.iteration] = counts.get(record.iteration, 0) + 1
+    for iteration, peaks in matrices:
+        sums[iteration] = sums.get(iteration, 0.0) + _mean_peak(peaks)
+        counts[iteration] = counts.get(iteration, 0) + 1
     return {
         iteration: sums[iteration] / counts[iteration]
         for iteration in sorted(sums)
@@ -298,7 +310,7 @@ def expected_calibration_error(
             mean_accuracy = 0.0
         bins.append(Bin(count, mean_confidence, mean_accuracy))
     accuracy = sum(correct_counts) / total
-    confidence = sum(confidence_sums) / total
+    confidence = _add_in_order(confidence_sums) / total
     return CalibrationReport(accuracy, confidence, ece, tuple(bins))
 
 
@@ -306,7 +318,7 @@ def average_confidence(records: Sequence[TokenPredictionRecord]) -> float:
     """Unweighted mean probability over all tokens."""
     if not records:
         raise ValueError("records must be non-empty")
-    return sum(record.probability for record in records) / len(records)
+    return _add_in_order(record.probability for record in records) / len(records)
 
 
 def fill_correctness(

@@ -29,6 +29,7 @@ from .aligner import (
 from .calibration import (
     DEFAULT_BINS,
     MAX_BINS,
+    _confidence_by_iteration,
     confidence_by_iteration,
     expected_calibration_error,
     fill_correctness,
@@ -43,6 +44,7 @@ from .complexity import (
 from .corpus_io import (
     Alignment,
     ParallelCorpus,
+    _read_attention_peaks,
     atomic_write,
     read_alignments,
     read_attention,
@@ -258,8 +260,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
 
 
 def _cmd_attn(args: argparse.Namespace) -> None:
-    records = _nonempty(read_attention(args.attn), args.attn, "attention records")
-    curve = confidence_by_iteration(records)
+    # the curve needs only each row's peak, so no renormalized matrix is kept
+    peaks = _nonempty(_read_attention_peaks(args.attn), args.attn, "attention records")
+    curve = _confidence_by_iteration(peaks)
     _write_csv(["iteration", "mean_confidence"], curve.items(), args.out)
 
 

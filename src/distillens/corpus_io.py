@@ -36,6 +36,8 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, ValidationError
@@ -66,6 +68,16 @@ __all__ = [
 ]
 
 ROW_SUM_TOLERANCE = 1e-4
+
+
+def _add_in_order(values: Iterable[float]) -> float:
+    """The floats of ``values`` added left to right from 0.0.
+
+    Builtin ``sum`` did this up to Python 3.11; from 3.12 it compensates,
+    which can move the last digit, so a result would depend on the
+    interpreter.
+    """
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -489,7 +501,9 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
 # attention exports
 
 
-def _parse_attention(raw: str) -> AttentionRecord | None:
+def _check_attention(raw: str) -> tuple[int, int, int, list[tuple[list[float], float]]] | None:
+    """Check one attention line: None for a blank line, else its sentence
+    id, iteration and head, and each row's float weights with their total."""
     if not raw.strip():
         return None
     obj = _load_json_line(raw)
@@ -509,13 +523,16 @@ def _parse_attention(raw: str) -> AttentionRecord | None:
         elif len(row) != width:
             raise FormatError("attention rows must all have the same length")
         # whole-row checks at C speed; type() also rules out bool
-        if not {int, float}.issuperset(map(type, row)):
+        kinds = set(map(type, row))
+        if not kinds <= {int, float}:
             raise FormatError("attention weights must be numbers")
-        try:
-            values = list(map(float, row))
-        except OverflowError:  # a JSON integer too large for a float
-            raise FormatError("attention weight is too large") from None
-        total = sum(values)
+        values = row  # JSON gives floats; only a row holding an int is converted
+        if int in kinds:
+            try:
+                values = list(map(float, row))
+            except OverflowError:  # a JSON integer too large for a float
+                raise FormatError("attention weight is too large") from None
+        total = _add_in_order(values)
         if not (min(values) >= 0.0 and math.isfinite(total)):
             for value, weight in zip(values, row):
                 if not (math.isfinite(value) and value >= 0.0):
@@ -526,8 +543,27 @@ def _parse_attention(raw: str) -> AttentionRecord | None:
                 f"attention row sums to {total!r}, more than "
                 f"{ROW_SUM_TOLERANCE} away from 1"
             )
-        rows.append(tuple(value / total for value in values))
-    return AttentionRecord(sentence_id, iteration, head, tuple(rows))
+        rows.append((values, total))
+    return sentence_id, iteration, head, rows
+
+
+def _parse_attention(raw: str) -> AttentionRecord | None:
+    checked = _check_attention(raw)
+    if checked is None:
+        return None
+    sentence_id, iteration, head, rows = checked
+    normalized = tuple(tuple(map(total.__rtruediv__, values)) for values, total in rows)
+    return AttentionRecord(sentence_id, iteration, head, normalized)
+
+
+def _parse_attention_peaks(raw: str) -> tuple[int, tuple[float, ...]] | None:
+    checked = _check_attention(raw)
+    if checked is None:
+        return None
+    _, iteration, _, rows = checked
+    # dividing by a positive total keeps the order of the weights, so this
+    # is bit for bit the largest weight of the renormalized row
+    return iteration, tuple(max(values) / total for values, total in rows)
 
 
 def read_attention(path: str) -> list[AttentionRecord]:
@@ -535,12 +571,20 @@ def read_attention(path: str) -> list[AttentionRecord]:
 
     Each row is checked once, in this order: every weight is a JSON
     number; every weight fits a float; no weight is negative or
-    non-finite (the first such weight is named as written); the row sums
-    to within 1e-4 of one. A row with defects of more than one kind gets
-    the message of the first check it fails. Rows that pass are
-    renormalized exactly; errors name the offending record's line number.
+    non-finite (the first such weight is named as written); the row sums,
+    added left to right, to within 1e-4 of one. A row with defects of
+    more than one kind gets the message of the first check it fails.
+    Rows that pass are renormalized exactly; errors name the offending
+    record's line number.
     """
     return _read_lines(path, _parse_attention)
+
+
+def _read_attention_peaks(path: str) -> list[tuple[int, tuple[float, ...]]]:
+    """The iteration of each matrix in an attention file and the largest
+    weight of each of its renormalized rows, with the checks and errors
+    of :func:`read_attention`; no renormalized copy of a row is made."""
+    return _read_lines(path, _parse_attention_peaks)
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:

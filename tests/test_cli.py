@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from distillens import bundled_data_dir
+from distillens import FormatError, bundled_data_dir, confidence_by_iteration, read_attention
 from distillens.calibration import MAX_BINS
 from distillens.cli import run
 
@@ -874,6 +878,44 @@ class TestCalibrate:
         capsys.readouterr()
 
 
+@st.composite
+def _attention_row(draw, width):
+    """A row within the tolerance of summing to one: a one-hot row of JSON
+    integers, or floats from integer weights, some zeros left as integers."""
+    if draw(st.booleans()):
+        hot = draw(st.integers(0, width - 1))
+        return [int(column == hot) for column in range(width)]
+    raw = draw(st.lists(st.integers(0, 1000), min_size=width, max_size=width).filter(any))
+    scale = draw(st.floats(1 - 5e-5, 1 + 5e-5)) / sum(raw)
+    keep_int_zeros = draw(st.booleans())
+    return [0 if keep_int_zeros and w == 0 else w * scale for w in raw]
+
+
+@st.composite
+def _attention_record(draw):
+    width = draw(st.integers(1, 5))
+    return {
+        "sentence_id": draw(st.integers(0, 3)),
+        "iteration": draw(st.integers(1, 3)),
+        "head": draw(st.integers(0, 1)),
+        "weights": draw(st.lists(_attention_row(width), min_size=1, max_size=4)),
+    }
+
+
+_ATTENTION_RECORD = _attention_record()
+_ATTENTION_WITH_ROW = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, 0.0], %s]}'
+# one row per defect a row check names
+_BAD_ATTENTION_ROWS = [
+    '["a", 1.0]',  # not a number
+    "[true, 0.0]",  # a bool
+    f"[{'9' * 401}, 0]",  # an integer too large for a float
+    "[1.5, -0.5]",  # negative
+    "[NaN, 1.0]",  # not finite
+    "[0.5, 0.6]",  # does not sum to one
+    "[1.0]",  # ragged
+]
+
+
 class TestAttn:
     def test_curve_csv(self, tmp_path):
         lines = [
@@ -888,6 +930,68 @@ class TestAttn:
         out = tmp_path / "curve.csv"
         assert run(["attn", "--attn", path, "--out", str(out)]) == 0
         assert out.read_text() == "iteration,mean_confidence\n1,1.0\n2,0.5\n"
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(records=st.lists(_ATTENTION_RECORD, min_size=1, max_size=6))
+    def test_curve_is_confidence_by_iteration_of_read_attention(self, tmp_path, records):
+        path = _write(tmp_path / "a.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "curve.csv"
+        assert run(["attn", "--attn", path, "--out", str(out)]) == 0
+        header, *rows = _csv_rows(out)
+        assert header == ["iteration", "mean_confidence"]
+        # csv writes a float's repr, which reads back as the same float
+        curve = [(int(iteration), float(value)) for iteration, value in rows]
+        assert curve == list(confidence_by_iteration(read_attention(path)).items())
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(
+        records=st.lists(_ATTENTION_RECORD, max_size=4),
+        bad_row=st.sampled_from(_BAD_ATTENTION_ROWS),
+        data=st.data(),
+    )
+    def test_bad_line_message_matches_read_attention(
+        self, tmp_path, capsys, records, bad_row, data
+    ):
+        lines = [json.dumps(r) + "\n" for r in records]
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, _ATTENTION_WITH_ROW % bad_row + "\n")
+        path = _write(tmp_path / "a.jsonl", "".join(lines))
+        with pytest.raises(FormatError) as info:
+            read_attention(path)
+        assert str(info.value).startswith(f"{path}: line {at + 1}: ")
+        out = tmp_path / "curve.csv"
+        assert run(["attn", "--attn", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"distillens: {info.value}\n"
+        assert not out.exists()
+
+    def test_keeps_no_renormalized_matrix(self, tmp_path):
+        """480 matrices of 24 rows by 25 weights; a renormalized copy of
+        every weight takes about 10 MB."""
+        rng = random.Random(3)
+        matrices = []
+        for _ in range(4):
+            rows = []
+            for _ in range(24):
+                raw = [rng.random() for _ in range(25)]
+                total = sum(raw)
+                rows.append([w / total for w in raw])
+            matrices.append(json.dumps(rows))
+        path = _write(
+            tmp_path / "a.jsonl",
+            "".join(
+                f'{{"sentence_id": {n // 8}, "iteration": {n % 4 + 1}, '
+                f'"head": {n // 4 % 2}, "weights": {matrices[n % 4]}}}\n'
+                for n in range(480)
+            ),
+        )
+        tracemalloc.start()
+        try:
+            code = run(["attn", "--attn", path, "--out", str(tmp_path / "curve.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
 
 class TestReport:

@@ -298,6 +298,26 @@ class TestAttention:
         record = read_attention(path)[0]
         assert sum(record.weights[0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rows_are_the_weights_over_their_left_to_right_total(self, tmp_path):
+        # ten 0.1s add up to 0.9999999999999999 left to right but to 1.0
+        # with the compensated sum Python 3.12 gives builtin sum
+        rows = [[0.1] * 10, [0.2, 0.30001, 0.5], [0, 1]]
+        path = _write(
+            tmp_path / "a",
+            "".join(
+                '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [%s]}\n' % row
+                for row in rows
+            ),
+        )
+        expected = []
+        for row in rows:
+            total = 0.0
+            for weight in row:
+                total += weight
+            expected.append((tuple(weight / total for weight in row),))
+        assert [record.weights for record in read_attention(path)] == expected
+        assert expected[0][0][0] == 0.10000000000000002
+
     def test_row_sum_off_rejected(self, tmp_path):
         path = _write(
             tmp_path / "a",

@@ -62,9 +62,12 @@ def test_unlisted_constants_still_import():
 
 # imported names that no code in their module reads, each with its reason
 UNUSED_IMPORTS = {
-    # perfbench's tracer patches it there to time word-alignment scoring;
-    # goes when the tracer stops patching module names
+    # perfbench's tracer patches these there to time word-alignment scoring
+    # and the attention reader and curve; they go when the tracer stops
+    # patching module names
     ("selection", "word_alignment_score"),
+    ("cli", "read_attention"),
+    ("cli", "confidence_by_iteration"),
 }
 
 
@@ -91,6 +94,19 @@ def test_modules_import_no_name_they_never_read():
         for name in _unused_imports(path)
     }
     assert unused == UNUSED_IMPORTS
+
+
+def test_importing_the_cli_leaves_out_importlib_resources():
+    """Only bundled_data_dir needs importlib.resources, and no subcommand
+    calls it; -S keeps the host's site hooks from importing it first."""
+    package_dir = Path(distillens.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package_dir.parent))
+    probe = "import sys, distillens.cli; print('importlib.resources' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_bundled_data_is_what_its_generator_writes(tmp_path):
