@@ -34,6 +34,7 @@ from distillens import (
     write_token_lines,
     write_token_predictions,
 )
+from distillens.corpus_io import _add_in_order
 
 N_TYPES = 12
 N_SENTENCES = 240
@@ -141,7 +142,7 @@ def build_attention(rng: random.Random) -> list[AttentionRecord]:
                         + (sharpening * 4.0 if s == peak else 0.0)
                         for s in range(n_source)
                     ]
-                    total = sum(raw)
+                    total = _add_in_order(raw)
                     rows.append(tuple(w / total for w in raw))
                 records.append(
                     AttentionRecord(sentence_id, iteration, head, tuple(rows))

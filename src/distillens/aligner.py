@@ -15,11 +15,11 @@ absorb target tokens with no lexical counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from sys import intern
 from typing import Callable, Iterable
 
 from .corpus_io import Alignment, ParallelCorpus, SentencePair, _read_lines, atomic_write
+from .corpus_io import _add_in_order, _Frozen
 from .errors import FormatError
 
 __all__ = [
@@ -40,8 +40,7 @@ NULL_TOKEN = "<NULL>"
 PROB_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class TranslationTable:
+class TranslationTable(_Frozen):
     """Word translation probabilities p(target word | source word).
 
     ``probs[x][y]`` holds p(y|x). Each source word's row sums to one;
@@ -50,7 +49,11 @@ class TranslationTable:
     not sum to one; :meth:`prob` answers as the full table does for them.
     """
 
+    __slots__ = ("probs",)
     probs: dict[str, dict[str, float]]
+
+    def __init__(self, probs: dict[str, dict[str, float]]) -> None:
+        object.__setattr__(self, "probs", probs)
 
     def prob(self, source_word: str, target_word: str) -> float:
         """Look up p(target_word | source_word), floored at PROB_FLOOR."""
@@ -120,7 +123,7 @@ def train_ibm1(
             n = len(xids)
             for slots in token_slots:
                 scores = [prob[s] for s in slots]
-                z = sum(scores)
+                z = _add_in_order(scores)
                 log_likelihood += math.log(z / n)
                 for s, xid, score in zip(slots, xids, scores):
                     delta = score / z
@@ -151,7 +154,7 @@ def corpus_log_likelihood(corpus: ParallelCorpus, table: TranslationTable) -> fl
     for pair in corpus:
         extended = (NULL_TOKEN,) + pair.source
         for y in pair.target:
-            z = sum(table.prob(x, y) for x in extended)
+            z = _add_in_order(table.prob(x, y) for x in extended)
             total += math.log(z / len(extended))
     return total
 

@@ -13,8 +13,7 @@ format them at display time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import AttentionRecord, TokenPredictionRecord, _add_in_order
 from .errors import ValidationError
@@ -37,8 +36,7 @@ DEFAULT_BINS = 10
 MAX_BINS = 1000
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     """One equal-width confidence bin of the reliability diagram."""
 
     count: int
@@ -46,8 +44,7 @@ class Bin:
     mean_accuracy: float
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """Overall accuracy/confidence plus the binned calibration gap.
 
     The ece field is computed from the bins, so recomputing
@@ -65,8 +62,8 @@ class CalibrationReport:
         return sum(b.count for b in self.bins)
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        return {**payload, "n_bins": len(self.bins), "bins": list(payload["bins"])}
+        bins = [b._asdict() for b in self.bins]
+        return {**self._asdict(), "bins": bins, "n_bins": len(self.bins)}
 
 
 def attention_confidence(

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import astuple, fields
 from typing import Iterable, Sequence
 
 from .aligner import (
@@ -131,8 +130,8 @@ def _write_reports(
     """Write the JSON payload and, with --csv, one row per named report."""
     _write_json(payload, args.out)
     if args.csv is not None:
-        header = ["corpus", *(field.name for field in fields(ComplexityReport))]
-        rows = ([name, *astuple(report)] for name, report in reports.items())
+        header = ["corpus", *ComplexityReport._fields]
+        rows = ([name, *report] for name, report in reports.items())
         _write_csv(header, rows, args.csv)
 
 
@@ -193,7 +192,7 @@ def _cmd_select(args: argparse.Namespace) -> None:
         }
         source_words = {x for sentence in sources for x in sentence}
         table = read_table(args.table, keep=(source_words, hypothesis_words))
-    score_names = [field.name for field in fields(ScoredHypothesis) if field.name != "entry"]
+    score_names = [name for name in ScoredHypothesis._fields if name != "entry"]
     selected = []
     score_rows = []
     for sentence_id, kbest in lists.items():

@@ -18,10 +18,9 @@ they refer to; nothing here needs a trained model.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .corpus_io import Alignment, ParallelCorpus, check_alignments
+from .corpus_io import Alignment, ParallelCorpus, _add_in_order, _Frozen, check_alignments
 
 __all__ = [
     "ConditionalTable",
@@ -43,8 +42,7 @@ def check_smoothing(alpha: float) -> None:
         raise ValueError(f"smoothing constant must be finite and > 0, got {alpha}")
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(_Frozen):
     """Link counts of target words given source words.
 
     ``counts[x][y]`` is the number of alignment links joining source
@@ -52,7 +50,11 @@ class ConditionalTable:
     count normalization of each row.
     """
 
+    __slots__ = ("counts",)
     counts: dict[str, dict[str, int]]
+
+    def __init__(self, counts: dict[str, dict[str, int]]) -> None:
+        object.__setattr__(self, "counts", counts)
 
     def vocabulary(self) -> list[str]:
         """Source words with at least one counted link, in insertion order."""
@@ -67,15 +69,14 @@ class ConditionalTable:
         return {y: count / total for y, count in row.items() if count > 0}
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     frs: float
     lexical_diversity: float
     faithfulness: float
     sentence_count: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def sentence_frs(alignment: Alignment, target_length: int) -> float:
@@ -132,7 +133,7 @@ def conditional_distribution(
 
 def _entropy(distribution: dict[str, float]) -> float:
     # 0 * ln 0 terms are absent by construction: distribution() drops zeros.
-    return -sum(p * math.log(p) for p in distribution.values())
+    return -_add_in_order(p * math.log(p) for p in distribution.values())
 
 
 def lexical_diversity(table: ConditionalTable) -> float:
@@ -140,7 +141,8 @@ def lexical_diversity(table: ConditionalTable) -> float:
     vocabulary = table.vocabulary()
     if not vocabulary:
         raise ValueError("conditional table has an empty source vocabulary")
-    return sum(_entropy(table.distribution(x)) for x in vocabulary) / len(vocabulary)
+    entropies = (_entropy(table.distribution(x)) for x in vocabulary)
+    return _add_in_order(entropies) / len(vocabulary)
 
 
 def faithfulness(
@@ -170,7 +172,7 @@ def faithfulness(
         else:
             denominator = 1.0 + alpha * len(support)
             smoothed = {y: (p_distilled.get(y, 0.0) + alpha) / denominator for y in support}
-        total += sum(p * math.log(p / smoothed[y]) for y, p in p_real.items())
+        total += _add_in_order(p * math.log(p / smoothed[y]) for y, p in p_real.items())
     return total / len(vocabulary)
 
 

@@ -33,12 +33,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError, ValidationError
 
@@ -70,29 +70,68 @@ __all__ = [
 ROW_SUM_TOLERANCE = 1e-4
 
 
-def _add_in_order(values: Iterable[float]) -> float:
-    """The floats of ``values`` added left to right from 0.0.
+if sys.version_info < (3, 12):
+    # up to 3.11 builtin sum adds floats left to right, at C speed
+    _add_in_order = sum
+else:
 
-    Builtin ``sum`` did this up to Python 3.11; from 3.12 it compensates,
-    which can move the last digit, so a result would depend on the
-    interpreter.
-    """
-    return reduce(add, values, 0.0)
+    def _add_in_order(values: Iterable[float]) -> float:
+        """The numbers of ``values`` added left to right from 0, as builtin
+        ``sum`` did up to Python 3.11; from 3.12 it compensates, which can
+        move the last digit, so a result would depend on the interpreter.
+        """
+        return reduce(add, values, 0)
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class _Frozen:
+    """Base of the records that are classes: each subclass names its fields
+    in ``__slots__`` and sets them once with ``object.__setattr__``.
+    Records compare, hash and print field by field, and assigning to
+    one raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assigning slots
+        return type(self), self._values()
+
+
+class SentencePair(NamedTuple):
     """One tokenized source sentence paired with its tokenized target."""
 
     source: tuple[str, ...]
     target: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(_Frozen):
     """Ordered sentence pairs; pair i comes from line i of both files."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[SentencePair, ...]
+
+    def __init__(self, pairs: tuple[SentencePair, ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -104,11 +143,14 @@ class ParallelCorpus:
         return self.pairs[index]
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(_Frozen):
     """A set of 0-based (source index, target index) links."""
 
+    __slots__ = ("links",)
     links: frozenset[tuple[int, int]]
+
+    def __init__(self, links: frozenset[tuple[int, int]]) -> None:
+        object.__setattr__(self, "links", links)
 
     def __len__(self) -> int:
         return len(self.links)
@@ -149,24 +191,21 @@ def _smallest_by_key(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
     return reduced
 
 
-@dataclass(frozen=True)
-class KBestEntry:
+class KBestEntry(NamedTuple):
     """One hypothesis from a k-best list with its teacher log probability."""
 
     hypothesis: tuple[str, ...]
     nmt_logprob: float
 
 
-@dataclass(frozen=True)
-class KBestList:
+class KBestList(NamedTuple):
     """All hypotheses produced for one source sentence, in file order."""
 
     sentence_id: int
     entries: tuple[KBestEntry, ...]
 
 
-@dataclass(frozen=True)
-class TokenPredictionRecord:
+class TokenPredictionRecord(NamedTuple):
     """An exported per-token model probability, optionally labelled correct."""
 
     sentence_id: int
@@ -181,8 +220,7 @@ class TokenPredictionRecord:
         )
 
 
-@dataclass(frozen=True)
-class AttentionRecord:
+class AttentionRecord(NamedTuple):
     """One exported source-target attention matrix.
 
     ``weights`` has one row per target position and one column per source
@@ -489,7 +527,7 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
     """Write one JSON object per record; ``correct`` is left out when None."""
 
     def fields(record: TokenPredictionRecord) -> dict:
-        obj = dict(vars(record))
+        obj = record._asdict()
         if record.correct is None:
             del obj["correct"]
         return obj
@@ -589,7 +627,7 @@ def _read_attention_peaks(path: str) -> list[tuple[int, tuple[float, ...]]]:
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
     """Write one JSON object per record."""
-    _write_lines(map(_json_line, map(vars, records)), path, _parse_attention)
+    _write_lines(map(_json_line, map(AttentionRecord._asdict, records)), path, _parse_attention)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ that is constant across the list maps to 0.5 for every entry.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import exp, log
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .aligner import NULL_TOKEN, TranslationTable, viterbi_align
 from .aligner import word_alignment_score  # unused; perfbench's tracer patches it here
 from .complexity import sentence_frs
-from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair
+from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair, _Frozen
 
 __all__ = [
     "SelectionConfig",
@@ -39,29 +38,30 @@ COMPLEXITY_KINDS = ("frs", "walign", "nmt")
 MAX_NGRAM = 4
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
+class SelectionConfig(_Frozen):
     """Weights and knobs for hypothesis scoring.
 
     ``sim_weight`` is the coefficient on the similarity component; the
     complexity component gets ``1 - sim_weight``.
     """
 
+    __slots__ = ("sim_weight", "complexity_kind")
     sim_weight: float
     complexity_kind: str
 
-    def __post_init__(self):
-        if not 0.0 <= self.sim_weight <= 1.0:
-            raise ValueError(f"sim_weight must be in [0, 1], got {self.sim_weight}")
-        if self.complexity_kind not in COMPLEXITY_KINDS:
+    def __init__(self, sim_weight: float, complexity_kind: str) -> None:
+        if not 0.0 <= sim_weight <= 1.0:
+            raise ValueError(f"sim_weight must be in [0, 1], got {sim_weight}")
+        if complexity_kind not in COMPLEXITY_KINDS:
             raise ValueError(
                 f"complexity_kind must be one of {COMPLEXITY_KINDS}, "
-                f"got {self.complexity_kind!r}"
+                f"got {complexity_kind!r}"
             )
+        object.__setattr__(self, "sim_weight", sim_weight)
+        object.__setattr__(self, "complexity_kind", complexity_kind)
 
 
-@dataclass(frozen=True)
-class ScoredHypothesis:
+class ScoredHypothesis(NamedTuple):
     entry: KBestEntry
     sim: float
     sim_norm: float

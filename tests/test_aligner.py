@@ -23,6 +23,7 @@ from distillens import (
     write_table,
 )
 from distillens.aligner import PROB_FLOOR
+from distillens.corpus_io import _add_in_order
 
 
 def _corpus(*pairs):
@@ -45,7 +46,8 @@ def _random_corpus(rng, n_pairs=30, vocab=8):
 def _dict_em(corpus, iterations):
     """IBM-1 EM over nested dicts, frozen from the implementation the
     slot-indexed one replaced: the oracle for bit-identical output.
-    Returns the table rows and the per-round log-likelihoods."""
+    Returns the table rows and the per-round log-likelihoods. Its sums
+    add left to right, as builtin sum did up to Python 3.11."""
     cooc = {NULL_TOKEN: {}}
     for pair in corpus:
         for x in (NULL_TOKEN,) + pair.source:
@@ -62,7 +64,7 @@ def _dict_em(corpus, iterations):
             extended = (NULL_TOKEN,) + pair.source
             for y in pair.target:
                 scores = [table[x][y] for x in extended]
-                z = sum(scores)
+                z = _add_in_order(scores)
                 log_likelihood += math.log(z / len(extended))
                 for x, score in zip(extended, scores):
                     delta = score / z

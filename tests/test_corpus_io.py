@@ -1,7 +1,6 @@
 """I/O layer: parsing, validation and round-trips for every format."""
 
 import ast
-import dataclasses
 import json
 import math
 import os
@@ -285,7 +284,7 @@ class TestTokenPredictions:
     @pytest.mark.parametrize("correct", [True, False])
     def test_with_correct_matches_replace(self, flag, correct):
         record = TokenPredictionRecord(3, 1, "a", 0.5, flag)
-        assert record.with_correct(correct) == dataclasses.replace(record, correct=correct)
+        assert record.with_correct(correct) == record._replace(correct=correct)
 
 
 class TestAttention:
@@ -599,15 +598,15 @@ def _floats(value):
     """Every float held in a parsed structure."""
     if isinstance(value, float):
         yield value
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _floats(getattr(value, field.name))
     elif isinstance(value, dict):
         for item in value.values():
             yield from _floats(item)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)):  # a record that is a named tuple too
         for item in value:
             yield from _floats(item)
+    elif getattr(value, "__slots__", ()):  # a record that is a class
+        for name in value.__slots__:
+            yield from _floats(getattr(value, name))
 
 
 def _open_calls(module: Path):
@@ -713,7 +712,7 @@ def _renormalized(weights):
 
 
 def _prediction_fields(record):
-    return {k: v for k, v in vars(record).items() if not (k == "correct" and v is None)}
+    return {k: v for k, v in record._asdict().items() if not (k == "correct" and v is None)}
 
 
 _WRITERS = {
@@ -808,10 +807,10 @@ _WRITERS = {
             ),
             max_size=4,
         ),
-        lambda x: "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in x),
+        lambda x: "".join(json.dumps(r._asdict(), sort_keys=True) + "\n" for r in x),
         write_attention,
         read_attention,
-        lambda x: [dataclasses.replace(r, weights=_renormalized(r.weights)) for r in x],
+        lambda x: [r._replace(weights=_renormalized(r.weights)) for r in x],
     ),
 }
 

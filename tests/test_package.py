@@ -2,12 +2,16 @@
 and the bundled data it ships."""
 
 import ast
+import copy
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import distillens
 
@@ -96,17 +100,116 @@ def test_modules_import_no_name_they_never_read():
     assert unused == UNUSED_IMPORTS
 
 
-def test_importing_the_cli_leaves_out_importlib_resources():
+# every use of builtin sum in src/ and scripts/, as (file, enclosing
+# function, the expression that uses it): integer sums, write_table's
+# finiteness check, and the helper that is sum up to Python 3.11. Every
+# float sum goes through corpus_io._add_in_order, since from 3.12 sum
+# compensates and the last digit would depend on the interpreter.
+SUM_USES = {
+    ("corpus_io.py", None, "_add_in_order = sum"),
+    ("aligner.py", "write_table", "sum(values)"),
+    ("calibration.py", "total", "sum((b.count for b in self.bins))"),
+    ("calibration.py", "expected_calibration_error", "sum(correct_counts)"),
+    ("complexity.py", "distribution", "sum(row.values())"),
+}
+
+
+def _sum_uses(path: Path) -> set[tuple[str, str | None, str]]:
+    uses = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "sum":
+                uses.add((path.name, function, ast.unparse(node)))
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return uses
+
+
+def test_floats_are_never_added_with_builtin_sum():
+    package_dir = Path(distillens.__file__).parent
+    paths = [*package_dir.glob("*.py"), *(package_dir.parents[1] / "scripts").glob("*.py")]
+    assert set().union(*map(_sum_uses, paths)) == SUM_USES
+
+
+@pytest.mark.parametrize("module", ["importlib.resources", "dataclasses", "inspect"])
+def test_importing_the_cli_leaves_out(module):
     """Only bundled_data_dir needs importlib.resources, and no subcommand
-    calls it; -S keeps the host's site hooks from importing it first."""
+    calls it; the records are built without dataclasses, which would pull
+    in inspect. -S keeps the host's site hooks from importing any of them
+    first."""
     package_dir = Path(distillens.__file__).parent
     env = dict(os.environ, PYTHONPATH=str(package_dir.parent))
-    probe = "import sys, distillens.cli; print('importlib.resources' in sys.modules)"
+    probe = f"import sys, distillens.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         check=True, env=env, capture_output=True, text=True,
     )
     assert result.stdout == "False\n"
+
+
+# each record with two sets of field values that differ in every field
+_RECORDS = [
+    (distillens.SentencePair, (("a", "b"), ("x",)), (("c",), ("y", "z"))),
+    (distillens.ParallelCorpus, ((distillens.SentencePair(("a",), ("x",)),),), ((),)),
+    (distillens.Alignment, (frozenset({(0, 1)}),), (frozenset(),)),
+    (distillens.KBestEntry, (("a",), -1.0), (("b",), -2.0)),
+    (distillens.KBestList, (0, (distillens.KBestEntry(("a",), -1.0),)), (1, ())),
+    (distillens.TokenPredictionRecord, (0, 1, "a", 0.5, True), (1, 2, "b", 0.25, None)),
+    (distillens.AttentionRecord, (0, 1, 0, ((1.0,),)), (1, 2, 1, ((0.5, 0.5),))),
+    (distillens.TranslationTable, ({"a": {"x": 1.0}},), ({},)),
+    (distillens.ConditionalTable, ({"a": {"x": 2}},), ({"b": {}},)),
+    (distillens.ComplexityReport, (0.5, 1.0, 0.25, 3), (1.0, 0.0, 0.0, 1)),
+    (distillens.SelectionConfig, (0.5, "nmt"), (1.0, "frs")),
+    (
+        distillens.ScoredHypothesis,
+        (distillens.KBestEntry(("a",), -1.0), 0.5, 0.5, -1.0, 0.5, 0.5),
+        (distillens.KBestEntry(("b",), -2.0), 0.25, 1.0, -2.0, 0.0, 0.125),
+    ),
+    (distillens.Bin, (2, 0.5, 1.0), (3, 0.25, 0.0)),
+    (
+        distillens.CalibrationReport,
+        (1.0, 0.5, 0.5, (distillens.Bin(2, 0.5, 1.0),)),
+        (0.5, 0.25, 0.125, ()),
+    ),
+]
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    """A named tuple's fields, or the slots of a record that is a class."""
+    return getattr(cls, "_fields", None) or cls.__slots__
+
+
+@pytest.mark.parametrize(
+    "cls, values, other", _RECORDS, ids=[cls.__name__ for cls, _, _ in _RECORDS]
+)
+def test_record_is_an_immutable_value(cls, values, other):
+    names = _field_names(cls)
+    assert len(names) == len(values)
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert tuple(getattr(record, name) for name in names) == values
+    assert record != cls(*other)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    try:
+        hash(values)
+    except TypeError:  # a record holding a dict is not hashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*copy.deepcopy(values)))
+
+
+@pytest.mark.parametrize("values", [(1.5, "nmt"), (-0.5, "nmt"), (0.5, "x")])
+def test_selection_config_refuses_what_it_cannot_score(values):
+    with pytest.raises(ValueError):
+        distillens.SelectionConfig(*values)
 
 
 def test_bundled_data_is_what_its_generator_writes(tmp_path):
