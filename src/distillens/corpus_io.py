@@ -24,7 +24,7 @@ alignment file is read against its corpus: :func:`check_alignments`
 checks the count and the link bounds once, with errors naming the file
 and line. All parsed structures are immutable and safe to share across
 threads. Every writer reads each line back with its reader's own line
-parser (:func:`_write_lines`), so what it writes always reads back,
+checks (:func:`_write_lines`), so what it writes always reads back,
 and the read-back keeps no copy of what it writes.
 """
 
@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from functools import reduce
 from operator import add
@@ -627,7 +626,7 @@ def _read_attention_peaks(path: str) -> list[tuple[int, tuple[float, ...]]]:
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
     """Write one JSON object per record."""
-    _write_lines(map(_json_line, map(AttentionRecord._asdict, records)), path, _parse_attention)
+    _write_lines(map(_json_line, map(AttentionRecord._asdict, records)), path, _check_attention)
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +650,16 @@ def _write_lines(lines: Iterable[str], path: str, parse_line: Callable[[str], ob
 
 @contextmanager
 def atomic_write(path: str):
-    """Write to a temp file and rename into place on success.
-
-    On any error the temp file is removed, so the destination is either
-    untouched or complete.
+    """Write to a new temp file beside ``path`` and rename it into place on
+    success. The temp file is created exclusively, with the mode that
+    ``open(path, "w")`` gives; on any error after that it is removed, so
+    the destination is either untouched or complete.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    tmp_path = os.path.join(directory, f".tmp.{os.urandom(6).hex()}~")
+    fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
     try:
-        # mkstemp creates 0600 files; honour the umask like open() would
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp_path, 0o666 & ~mask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             yield fh
         os.replace(tmp_path, path)
     except BaseException:

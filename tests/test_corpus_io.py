@@ -655,7 +655,7 @@ class TestEveryReader:
         }
         assert calls == {
             ("corpus_io", "_read_lines", "open"),
-            ("corpus_io", "atomic_write", "os.fdopen"),
+            ("corpus_io", "atomic_write", "open"),
         }
 
     def test_only_read_lines_collects_records(self):
@@ -915,3 +915,26 @@ class TestAtomicWrite:
         with atomic_write(str(target)) as fh:
             fh.write("new\n")
         assert target.read_text() == "new\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_what_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            with atomic_write(str(tmp_path / "atomic")) as fh:
+                fh.write("x\n")
+        finally:
+            assert os.umask(previous) == umask
+        assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+
+    def test_file_at_the_temp_name_is_left_in_place(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        squatter = tmp_path / f".tmp.{bytes(6).hex()}~"
+        squatter.write_text("not ours")
+        target = tmp_path / "out.txt"
+        with pytest.raises(FileExistsError):
+            with atomic_write(str(target)) as fh:
+                fh.write("new\n")
+        assert squatter.read_text() == "not ours"
+        assert os.listdir(tmp_path) == [squatter.name]

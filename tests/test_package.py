@@ -134,12 +134,19 @@ def test_floats_are_never_added_with_builtin_sum():
     assert set().union(*map(_sum_uses, paths)) == SUM_USES
 
 
-@pytest.mark.parametrize("module", ["importlib.resources", "dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "importlib.resources", "dataclasses", "inspect",
+        "tempfile", "shutil", "random", "bz2", "lzma",
+    ],
+)
 def test_importing_the_cli_leaves_out(module):
     """Only bundled_data_dir needs importlib.resources, and no subcommand
     calls it; the records are built without dataclasses, which would pull
-    in inspect. -S keeps the host's site hooks from importing any of them
-    first."""
+    in inspect; atomic_write creates its temp file with open(), not
+    tempfile, which would pull in shutil, random, bz2 and lzma. -S keeps
+    the host's site hooks from importing any of them first."""
     package_dir = Path(distillens.__file__).parent
     env = dict(os.environ, PYTHONPATH=str(package_dir.parent))
     probe = f"import sys, distillens.cli; print({module!r} in sys.modules)"
@@ -195,6 +202,12 @@ def test_record_is_an_immutable_value(cls, values, other):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    if not hasattr(cls, "_fields"):  # a class record is not a tuple
+        assert record != values
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
     try:
