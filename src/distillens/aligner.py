@@ -257,9 +257,8 @@ def read_table(
     probs: dict[str, dict[str, float]] = {}
     last_x: str | None = None
     row: dict[str, float] | None = {}
-    if keep is None:
-        kept_sources = kept_targets = None
-    else:
+    kept_sources = kept_targets = None
+    if keep is not None:
         kept_sources = {NULL_TOKEN, *keep[0]}
         kept_targets = set(keep[1])
 
@@ -287,12 +286,7 @@ def read_table(
         # still finds its dict. A source word that is not kept has row None.
         if x != last_x:
             last_x = x
-            if kept_sources is None or x in kept_sources:
-                row = probs.get(x)
-                if row is None:
-                    row = probs[x] = {}
-            else:
-                row = None
+            row = probs.setdefault(x, {}) if kept_sources is None or x in kept_sources else None
         if row is not None and (kept_targets is None or y in kept_targets):
             row[intern(y)] = p
 

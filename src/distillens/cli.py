@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -192,30 +193,23 @@ def _cmd_select(args: argparse.Namespace) -> None:
         }
         source_words = {x for sentence in sources for x in sentence}
         table = read_table(args.table, keep=(source_words, hypothesis_words))
-    score_names = [name for name in ScoredHypothesis._fields if name != "entry"]
-    selected = []
-    score_rows = []
-    for sentence_id, kbest in lists.items():
-        scored = score_hypotheses(
-            kbest, references[sentence_id], sources[sentence_id], config, table
-        )
-        best_rank = _best_rank(scored)
-        selected.append(scored[best_rank].entry.hypothesis)
-        if args.scores is not None:
-            score_rows.extend(
-                [
-                    sentence_id,
-                    rank,
-                    *(getattr(hypothesis, name) for name in score_names),
-                    int(rank == best_rank),
-                    " ".join(hypothesis.entry.hypothesis),
-                ]
-                for rank, hypothesis in enumerate(scored)
-            )
-    write_token_lines(selected, args.out)
+    scored_lists = [
+        score_hypotheses(kbest, references[sentence_id], sources[sentence_id], config, table)
+        for sentence_id, kbest in lists.items()
+    ]
+    best_ranks = list(map(_best_rank, scored_lists))
+    write_token_lines(
+        [scored[best].entry.hypothesis for scored, best in zip(scored_lists, best_ranks)],
+        args.out,
+    )
     if args.scores is not None:
-        header = ["sentence_id", "rank", *score_names, "selected", "hypothesis"]
-        _write_csv(header, score_rows, args.scores)
+        header = ["sentence_id", "rank", *ScoredHypothesis._fields[1:], "selected", "hypothesis"]
+        rows = (
+            [sentence_id, rank, *scores, int(rank == best), " ".join(entry.hypothesis)]
+            for sentence_id, (scored, best) in enumerate(zip(scored_lists, best_ranks))
+            for rank, (entry, *scores) in enumerate(scored)
+        )
+        _write_csv(header, rows, args.scores)
 
 
 def _cmd_preorder(args: argparse.Namespace) -> None:
@@ -302,7 +296,26 @@ def _output_path(text: str) -> str:
     one leaves no other output behind."""
     if not text:
         raise argparse.ArgumentTypeError("output path must not be empty")
+    directory = os.path.dirname(text)
+    if directory and not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: {directory!r} is not a directory"
+        )
     return text
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse two output flags that name one file, before any input is read:
+    the second write would replace the first."""
+    flags: dict[str, str] = {}
+    for action in args.outputs:
+        path = getattr(args, action.dest)
+        if path is not None:
+            path = os.path.realpath(path)
+            flag = action.option_strings[0]
+            if path in flags:
+                args.parser.error(f"{flags[path]} and {flag} name the same file")
+            flags[path] = flag
 
 
 def _bin_count(text: str) -> int:
@@ -353,11 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, parents=()) -> argparse.ArgumentParser:
         command_parser = sub.add_parser(name, parents=[common, *parents], help=help)
-        command_parser.set_defaults(func=func, parser=command_parser)
+        command_parser.set_defaults(func=func, parser=command_parser, outputs=[])
         return command_parser
 
     def output(command_parser, flag, help, required=True) -> None:
-        command_parser.add_argument(flag, required=required, type=_output_path, help=help)
+        action = command_parser.add_argument(flag, required=required, type=_output_path, help=help)
+        command_parser.get_default("outputs").append(action)
 
     p_align = command(
         "align",
@@ -481,6 +495,7 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        _check_outputs(args)
         args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -166,12 +166,12 @@ def faithfulness(
     for x in vocabulary:
         p_real = real_table.distribution(x)
         p_distilled = distilled_table.distribution(x)
-        support = sorted(set(p_real) | set(p_distilled))
+        support_size = len(p_real.keys() | p_distilled.keys())
         if not p_distilled:
-            smoothed = {y: 1.0 / len(support) for y in support}
+            smoothed = {y: 1.0 / support_size for y in p_real}
         else:
-            denominator = 1.0 + alpha * len(support)
-            smoothed = {y: (p_distilled.get(y, 0.0) + alpha) / denominator for y in support}
+            denominator = 1.0 + alpha * support_size
+            smoothed = {y: (p_distilled.get(y, 0.0) + alpha) / denominator for y in p_real}
         total += _add_in_order(p * math.log(p / smoothed[y]) for y, p in p_real.items())
     return total / len(vocabulary)
 

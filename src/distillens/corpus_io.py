@@ -74,12 +74,12 @@ if sys.version_info < (3, 12):
     _add_in_order = sum
 else:
 
-    def _add_in_order(values: Iterable[float]) -> float:
-        """The numbers of ``values`` added left to right from 0, as builtin
-        ``sum`` did up to Python 3.11; from 3.12 it compensates, which can
-        move the last digit, so a result would depend on the interpreter.
+    def _add_in_order(values: Iterable[float], start: float = 0) -> float:
+        """The numbers of ``values`` added left to right to ``start``, as
+        builtin ``sum`` did up to Python 3.11; from 3.12 it compensates, which
+        can move the last digit, so a result would depend on the interpreter.
         """
-        return reduce(add, values, 0)
+        return reduce(add, values, start)
 
 
 class _Frozen:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 from .aligner import NULL_TOKEN, TranslationTable, viterbi_align
 from .aligner import word_alignment_score  # unused; perfbench's tracer patches it here
 from .complexity import sentence_frs
-from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair, _Frozen
+from .corpus_io import Alignment, KBestEntry, KBestList, SentencePair, _add_in_order, _Frozen
 
 __all__ = [
     "SelectionConfig",
@@ -158,26 +158,19 @@ def _complexity_raws(
     source = tuple(source)
     words = tuple(dict.fromkeys(y for entry in entries for y in entry.hypothesis))
     winner = {words[j]: i for i, j in viterbi_align(SentencePair(source, words), table).links}
-    if kind == "walign":
-        logp = {
-            y: log(table.prob(source[winner[y]] if y in winner else NULL_TOKEN, y))
-            for y in words
-        }
-    raws = []
-    for entry in entries:
-        target = entry.hypothesis
-        if kind == "frs":
-            alignment = Alignment(
-                frozenset((winner[y], j) for j, y in enumerate(target) if y in winner)
+    if kind == "frs":
+        targets = [entry.hypothesis for entry in entries]
+        return [
+            sentence_frs(
+                Alignment(frozenset((winner[y], j) for j, y in enumerate(target) if y in winner)),
+                len(target),
             )
-            raws.append(sentence_frs(alignment, len(target)))
-        else:
-            # a plain loop, not sum(): the addends must be added left to right
-            total = 0.0
-            for y in target:
-                total += logp[y]
-            raws.append(total)
-    return raws
+            for target in targets
+        ]
+    logp = {
+        y: log(table.prob(source[winner[y]] if y in winner else NULL_TOKEN, y)) for y in words
+    }
+    return [_add_in_order(map(logp.__getitem__, entry.hypothesis), 0.0) for entry in entries]
 
 
 def score_hypotheses(

@@ -3,13 +3,18 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import distillens
 from distillens import FormatError, bundled_data_dir, confidence_by_iteration, read_attention
 from distillens.calibration import MAX_BINS
 from distillens.cli import run
@@ -41,6 +46,28 @@ def corpus_files(tmp_path):
     tgt = _write(tmp_path / "c.tgt", "x y\nx\ny\n")
     aln = _write(tmp_path / "c.aln", "0-0 1-1\n0-0\n0-0\n")
     return src, tgt, aln
+
+
+class TestMainModule:
+    """``python -m distillens`` runs ``cli.main`` in a fresh interpreter."""
+
+    def _main(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(distillens.__file__).parent.parent)}
+        return subprocess.run(
+            [sys.executable, "-m", "distillens", *argv], env=env, capture_output=True, text=True
+        )
+
+    def test_attn_writes_what_run_writes(self, tmp_path):
+        attn = str(bundled_data_dir() / "demo.attn.jsonl")
+        result = self._main("attn", "--attn", attn, "--out", str(tmp_path / "main.csv"))
+        assert result.returncode == 0
+        assert run(["attn", "--attn", attn, "--out", str(tmp_path / "run.csv")]) == 0
+        assert (tmp_path / "main.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+    def test_no_subcommand_exits_2(self):
+        result = self._main()
+        assert result.returncode == 2
+        assert "usage" in result.stderr
 
 
 class TestExitCodes:
@@ -411,25 +438,27 @@ _EMPTY_INPUT_RUNS = {
 }
 
 
+@pytest.fixture
+def files(tmp_path, corpus_files):
+    """The words of the run tables above, mapped to paths."""
+    src, tgt, aln = corpus_files
+    preds = {"sentence_id": 0, "position": 0, "token": "x", "probability": 0.5,
+             "correct": True}
+    attn = {"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0]]}
+    return {
+        "S": src, "T": tgt, "A": aln, "''": "",
+        "OUT": str(tmp_path / "out"), "OUT2": str(tmp_path / "out2"),
+        "K": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -1.0\n"
+                    "2 ||| y ||| -1.0\n"),
+        "R": _write(tmp_path / "r", "x y\nx\ny\n"),
+        "P": _write(tmp_path / "p.jsonl", json.dumps(preds) + "\n"),
+        "J": _write(tmp_path / "a.jsonl", json.dumps(attn) + "\n"),
+    }
+
+
 class TestEmptyPaths:
     """An empty path is a path, not an absent flag: as an output it is a
     usage error naming its flag, as an input it fails to open."""
-
-    @pytest.fixture
-    def files(self, tmp_path, corpus_files):
-        src, tgt, aln = corpus_files
-        preds = {"sentence_id": 0, "position": 0, "token": "x", "probability": 0.5,
-                 "correct": True}
-        attn = {"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0]]}
-        return {
-            "S": src, "T": tgt, "A": aln, "''": "",
-            "OUT": str(tmp_path / "out"), "OUT2": str(tmp_path / "out2"),
-            "K": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -1.0\n"
-                        "2 ||| y ||| -1.0\n"),
-            "R": _write(tmp_path / "r", "x y\nx\ny\n"),
-            "P": _write(tmp_path / "p.jsonl", json.dumps(preds) + "\n"),
-            "J": _write(tmp_path / "a.jsonl", json.dumps(attn) + "\n"),
-        }
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
     def test_empty_output_rejected(self, tmp_path, capsys, files, case):
@@ -451,6 +480,58 @@ class TestEmptyPaths:
         inputs = set(tmp_path.iterdir())
         assert run([files.get(word, word) for word in words]) == 2
         assert capsys.readouterr().err == "distillens: [Errno 2] No such file or directory: ''\n"
+        assert set(tmp_path.iterdir()) == inputs
+
+
+# each subcommand that writes two files, given one file under two names;
+# report trains alignments by EM, so a refusal must come before training
+_SAME_OUTPUT_RUNS = {
+    "align": "align --src S --tgt T --out OUT --table SAME",
+    "metrics": "metrics --src S --tgt T --align A --out OUT --csv SAME",
+    "select": "select --kbest K --ref R --src S --cxty nmt --out OUT --scores SAME",
+    "preorder": "preorder --src S --tgt T --align A --out-src OUT --out-align SAME",
+    "report": "report --real-src S --real-tgt T --distilled-src S --distilled-tgt T "
+              "--out OUT --csv SAME",
+}
+
+
+class TestOutputPaths:
+    """Output paths are checked before any input is read: two outputs that
+    name one file, or an output in a directory that does not exist, are
+    usage errors that write nothing."""
+
+    @pytest.mark.parametrize("subcommand", sorted(_SAME_OUTPUT_RUNS))
+    def test_two_outputs_naming_one_file_rejected(self, tmp_path, capsys, files, subcommand):
+        files["SAME"] = os.path.join(tmp_path, ".", "out")
+        words = _SAME_OUTPUT_RUNS[subcommand].split()
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words]) == 2
+        first, second = words[-4], words[-2]
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {first} and {second} name the same file\n")
+        assert "iteration" not in err
+        assert set(tmp_path.iterdir()) == inputs
+
+    def test_output_may_rewrite_an_input(self, files):
+        argv = ["preorder", "--src", files["S"], "--tgt", files["T"], "--align", files["A"],
+                "--out-src", files["S"], "--out-align", files["A"]]
+        assert run(argv) == 0
+        with open(files["A"]) as fh:
+            assert fh.read() == "0-0 1-1\n0-0\n0-0\n"
+
+    @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
+    def test_output_in_missing_directory_rejected(self, tmp_path, capsys, files, case):
+        files["''"] = missing = str(tmp_path / "nodir" / "x")
+        words = _EMPTY_OUTPUT_RUNS[case].split()
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words]) == 2
+        flag = case.split()[1]
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument {flag}: cannot write {missing!r}: "
+            f"{os.path.dirname(missing)!r} is not a directory\n"
+        )
+        assert "iteration" not in err and ".tmp." not in err
         assert set(tmp_path.iterdir()) == inputs
 
 

@@ -93,7 +93,9 @@ class TestParallelCorpus:
 
 class TestPharaoh:
     def test_parse_basic(self):
-        assert parse_pharaoh("0-0 1-2").links == frozenset({(0, 0), (1, 2)})
+        alignment = parse_pharaoh("0-0 1-2")
+        assert alignment.links == frozenset({(0, 0), (1, 2)})
+        assert len(alignment) == 2
 
     def test_parse_empty(self):
         assert parse_pharaoh("").links == frozenset()
@@ -938,3 +940,15 @@ class TestAtomicWrite:
                 fh.write("new\n")
         assert squatter.read_text() == "not ours"
         assert os.listdir(tmp_path) == [squatter.name]
+
+    def test_body_error_survives_a_failed_cleanup(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        with pytest.raises(RuntimeError, match="boom"):
+            with atomic_write(str(tmp_path / "out.txt")) as fh:
+                fh.write("partial")
+                raise RuntimeError("boom")
+        monkeypatch.undo()
+        assert [name.startswith(".tmp.") for name in os.listdir(tmp_path)] == [True]

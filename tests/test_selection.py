@@ -170,6 +170,13 @@ class TestScoreHypotheses:
         assert scored[0].cxty_raw == pytest.approx(math.log(0.25), abs=1e-12)
         assert scored[1].cxty_raw == pytest.approx(2 * math.log(0.25), abs=1e-12)
 
+    def test_word_align_complexity_of_empty_hypothesis_is_float_zero(self):
+        """read_kbest refuses an empty hypothesis, but the library scores one."""
+        table = TranslationTable({"s": {"t": 0.25}})
+        kbest = KBestList(0, (KBestEntry((), -1.0), KBestEntry(("t",), -1.0)))
+        scored = score_hypotheses(kbest, ["t"], ["s"], SelectionConfig(0.0, "walign"), table)
+        assert repr(scored[0].cxty_raw) == "0.0"
+
 
 class TestSelectReference:
     def test_lambda_one_is_bleu_argmax(self):
