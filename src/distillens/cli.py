@@ -30,6 +30,7 @@ from .calibration import (
     DEFAULT_BINS,
     MAX_BINS,
     _confidence_by_iteration,
+    _read_attention_confidence,
     confidence_by_iteration,
     expected_calibration_error,
     fill_correctness,
@@ -44,7 +45,6 @@ from .complexity import (
 from .corpus_io import (
     Alignment,
     ParallelCorpus,
-    _read_attention_peaks,
     atomic_write,
     read_alignments,
     read_attention,
@@ -253,9 +253,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
 
 
 def _cmd_attn(args: argparse.Namespace) -> None:
-    # the curve needs only each row's peak, so no renormalized matrix is kept
-    peaks = _nonempty(_read_attention_peaks(args.attn), args.attn, "attention records")
-    curve = _confidence_by_iteration(peaks)
+    # the curve needs only each matrix's confidence, so no matrix is kept
+    confidences = _nonempty(_read_attention_confidence(args.attn), args.attn, "attention records")
+    curve = _confidence_by_iteration(confidences)
     _write_csv(["iteration", "mean_confidence"], curve.items(), args.out)
 
 
@@ -296,6 +296,8 @@ def _output_path(text: str) -> str:
     one leaves no other output behind."""
     if not text:
         raise argparse.ArgumentTypeError("output path must not be empty")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: it is a directory")
     directory = os.path.dirname(text)
     if directory and not os.path.isdir(directory):
         raise argparse.ArgumentTypeError(

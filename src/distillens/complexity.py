@@ -157,6 +157,8 @@ def faithfulness(
     conditionals, so the divergence stays finite when the distilled
     corpus misses a target word. A source word absent from the distilled
     table falls back to the uniform distribution over that support.
+    An alpha so large that a smoothed value is 0, or so small that the
+    divergence is not finite, is a ValueError.
     """
     check_smoothing(alpha)
     vocabulary = real_table.vocabulary()
@@ -172,7 +174,11 @@ def faithfulness(
         else:
             denominator = 1.0 + alpha * support_size
             smoothed = {y: (p_distilled.get(y, 0.0) + alpha) / denominator for y in p_real}
+        if 0.0 in smoothed.values():  # alpha * support_size overflowed
+            raise ValueError(f"smoothing constant {alpha} is too large: a smoothed value is 0")
         total += _add_in_order(p * math.log(p / smoothed[y]) for y, p in p_real.items())
+    if not math.isfinite(total):  # p / alpha overflowed
+        raise ValueError(f"smoothing constant {alpha} is too small: faithfulness is {total}")
     return total / len(vocabulary)
 
 

@@ -213,11 +213,6 @@ class TokenPredictionRecord(NamedTuple):
     probability: float
     correct: bool | None = None
 
-    def with_correct(self, correct: bool) -> "TokenPredictionRecord":
-        return TokenPredictionRecord(
-            self.sentence_id, self.position, self.token, self.probability, correct
-        )
-
 
 class AttentionRecord(NamedTuple):
     """One exported source-target attention matrix.
@@ -551,13 +546,12 @@ def _check_attention(raw: str) -> tuple[int, int, int, list[tuple[list[float], f
     if not isinstance(weights, list) or not weights:
         raise FormatError("field 'weights' must be a non-empty matrix")
     rows = []
-    width: int | None = None
+    # a first row that is not a list fails the first check below
+    width = len(weights[0]) if isinstance(weights[0], list) else 0
     for row in weights:
         if not isinstance(row, list) or not row:
             raise FormatError("attention rows must be non-empty lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != width:
             raise FormatError("attention rows must all have the same length")
         # whole-row checks at C speed; type() also rules out bool
         kinds = set(map(type, row))
@@ -593,16 +587,6 @@ def _parse_attention(raw: str) -> AttentionRecord | None:
     return AttentionRecord(sentence_id, iteration, head, normalized)
 
 
-def _parse_attention_peaks(raw: str) -> tuple[int, tuple[float, ...]] | None:
-    checked = _check_attention(raw)
-    if checked is None:
-        return None
-    _, iteration, _, rows = checked
-    # dividing by a positive total keeps the order of the weights, so this
-    # is bit for bit the largest weight of the renormalized row
-    return iteration, tuple(max(values) / total for values, total in rows)
-
-
 def read_attention(path: str) -> list[AttentionRecord]:
     """Read attention matrices from a JSON-lines file.
 
@@ -615,13 +599,6 @@ def read_attention(path: str) -> list[AttentionRecord]:
     record's line number.
     """
     return _read_lines(path, _parse_attention)
-
-
-def _read_attention_peaks(path: str) -> list[tuple[int, tuple[float, ...]]]:
-    """The iteration of each matrix in an attention file and the largest
-    weight of each of its renormalized rows, with the checks and errors
-    of :func:`read_attention`; no renormalized copy of a row is made."""
-    return _read_lines(path, _parse_attention_peaks)
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:

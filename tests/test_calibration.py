@@ -18,6 +18,7 @@ from distillens import (
     fill_correctness,
     token_accuracy,
 )
+from distillens import calibration
 from distillens.calibration import MAX_BINS, _edit_distance
 
 
@@ -390,7 +391,39 @@ class TestAverageConfidence:
             average_confidence([])
 
 
+class _CountingDict(dict):
+    """A dict that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return super().__contains__(key)
+
+
 class TestFillCorrectness:
+    def test_each_sentence_checked_and_labelled_once(self, monkeypatch):
+        labelled = []
+
+        def counting_token_accuracy(hypothesis, reference):
+            labelled.append(tuple(hypothesis))
+            return token_accuracy(hypothesis, reference)
+
+        monkeypatch.setattr(calibration, "token_accuracy", counting_token_accuracy)
+        hypotheses = _CountingDict({0: ["a", "x"], 1: ["b", "c"]})
+        references = _CountingDict({0: ["a", "b"], 1: ["b", "c"]})
+        records = [
+            TokenPredictionRecord(sid, position, hypotheses[sid][position], 0.5, None)
+            for position in range(2)
+            for sid in (0, 1)
+        ]
+        records.append(TokenPredictionRecord(0, 0, "a", 0.25, False))
+        filled = fill_correctness(records, hypotheses, references)
+        assert labelled == [("a", "x"), ("b", "c")]
+        assert hypotheses.tests == references.tests == 2
+        flags = [True, True, False, True, False]
+        assert filled == [r._replace(correct=flag) for r, flag in zip(records, flags)]
+
     def test_fills_from_token_accuracy(self):
         records = [
             TokenPredictionRecord(0, 0, "a", 0.9, None),

@@ -497,8 +497,8 @@ _SAME_OUTPUT_RUNS = {
 
 class TestOutputPaths:
     """Output paths are checked before any input is read: two outputs that
-    name one file, or an output in a directory that does not exist, are
-    usage errors that write nothing."""
+    name one file, an output that is a directory, or an output in a
+    directory that does not exist, are usage errors that write nothing."""
 
     @pytest.mark.parametrize("subcommand", sorted(_SAME_OUTPUT_RUNS))
     def test_two_outputs_naming_one_file_rejected(self, tmp_path, capsys, files, subcommand):
@@ -532,6 +532,32 @@ class TestOutputPaths:
             f"{os.path.dirname(missing)!r} is not a directory\n"
         )
         assert "iteration" not in err and ".tmp." not in err
+        assert set(tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
+    def test_output_that_is_a_directory_rejected(self, tmp_path, capsys, files, case):
+        files["''"] = directory = str(tmp_path / "adir")
+        os.mkdir(directory)
+        words = _EMPTY_OUTPUT_RUNS[case].split()
+        inputs = set(tmp_path.iterdir())
+        assert run([files.get(word, word) for word in words]) == 2
+        flag = case.split()[1]
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument {flag}: cannot write {directory!r}: it is a directory\n"
+        )
+        assert "iteration" not in err and ".tmp." not in err
+        assert set(tmp_path.iterdir()) == inputs
+        assert os.listdir(directory) == []
+
+    def test_current_directory_as_output_rejected(self, tmp_path, capsys, files, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        inputs = set(tmp_path.iterdir())
+        argv = ["align", "--src", files["S"], "--tgt", files["T"], "--iters", "2", "--out", "."]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --out: cannot write '.': it is a directory\n")
+        assert "iteration" not in err
         assert set(tmp_path.iterdir()) == inputs
 
 
@@ -620,6 +646,35 @@ class TestMetricsCsv:
         assert [row[0] for row in rows] == ["real", "distilled"]
         for row in rows:
             _assert_cells_match(row[1:], header[1:], payload[row[0]])
+
+
+class TestExtremeAlpha:
+    """An alpha that is finite and positive but overflows the smoothing
+    exits 1 naming alpha, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "alpha, fault",
+        [("1e308", "too large: a smoothed value is 0"),
+         ("1e-320", "too small: faithfulness is inf")],
+    )
+    @pytest.mark.parametrize("command", ["metrics", "report"])
+    def test_exits_1_and_writes_nothing(self, tmp_path, capsys, command, alpha, fault):
+        data = bundled_data_dir()
+        real = ["--real-src", str(data / "real.src"), "--real-tgt", str(data / "real.tgt"),
+                "--real-align", str(data / "real.aln")]
+        distilled = [str(data / f"distilled.{ext}") for ext in ("src", "tgt", "aln")]
+        if command == "metrics":
+            flags = ["--src", "--tgt", "--align"]
+        else:
+            flags = ["--distilled-src", "--distilled-tgt", "--distilled-align"]
+        argv = [command, *real, *(word for pair in zip(flags, distilled) for word in pair),
+                "--alpha", alpha, "--out", str(tmp_path / "o.json"),
+                "--csv", str(tmp_path / "o.csv")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"distillens: smoothing constant {float(alpha)} is {fault}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEarlyArgumentChecks:
@@ -1045,18 +1100,19 @@ class TestAttn:
         assert capsys.readouterr().err == f"distillens: {info.value}\n"
         assert not out.exists()
 
-    def test_keeps_no_renormalized_matrix(self, tmp_path):
-        """480 matrices of 24 rows by 25 weights; a renormalized copy of
-        every weight takes about 10 MB."""
+    @staticmethod
+    def _traced_peak(tmp_path, rows, width):
+        """tracemalloc's peak over one attn run on 480 matrices of rows x
+        width weights, made from 4 random matrices."""
         rng = random.Random(3)
         matrices = []
         for _ in range(4):
-            rows = []
-            for _ in range(24):
-                raw = [rng.random() for _ in range(25)]
+            matrix = []
+            for _ in range(rows):
+                raw = [rng.random() for _ in range(width)]
                 total = sum(raw)
-                rows.append([w / total for w in raw])
-            matrices.append(json.dumps(rows))
+                matrix.append([w / total for w in raw])
+            matrices.append(json.dumps(matrix))
         path = _write(
             tmp_path / "a.jsonl",
             "".join(
@@ -1072,7 +1128,17 @@ class TestAttn:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2_000_000
+        return peak
+
+    def test_keeps_no_renormalized_matrix(self, tmp_path):
+        """24 rows by 25 weights; a renormalized copy of every weight takes
+        about 10 MB."""
+        assert self._traced_peak(tmp_path, 24, 25) < 2_000_000
+
+    def test_keeps_one_value_per_matrix(self, tmp_path):
+        """96 rows by 5 weights; keeping every row's peak until the end
+        takes about 1.7 MB, one confidence per matrix about 0.24 MB."""
+        assert self._traced_peak(tmp_path, 96, 5) < 1_000_000
 
 
 class TestReport:
@@ -1109,3 +1175,68 @@ class TestReport:
         assert "log-likelihood" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["real"]["sentence_count"] == 3
+
+
+# bundled-data runs whose outputs could follow str hash order, in the
+# order they run (select reads align's table); {D} is the data directory
+# and {O} the output one
+_HASH_SEED_RUNS = {
+    "align": "align --src {D}/real.src --tgt {D}/real.tgt --iters 5 "
+             "--out {O}/a.aln --table {O}/t.tsv",
+    "metrics": "metrics --src {D}/distilled.src --tgt {D}/distilled.tgt --align {D}/distilled.aln "
+               "--real-src {D}/real.src --real-tgt {D}/real.tgt --real-align {D}/real.aln "
+               "--out {O}/m.json --csv {O}/m.csv",
+    "select walign": "select --kbest {D}/demo.kbest --ref {D}/demo.ref --src {D}/real.src "
+                     "--cxty walign --table {O}/t.tsv --out {O}/w.txt --scores {O}/w.csv",
+    "select frs": "select --kbest {D}/demo.kbest --ref {D}/demo.ref --src {D}/real.src "
+                  "--cxty frs --table {O}/t.tsv --out {O}/f.txt --scores {O}/f.csv",
+    "preorder": "preorder --src {D}/real.src --tgt {D}/real.tgt --align {D}/real.aln "
+                "--out-src {O}/p.src --out-align {O}/p.aln",
+    "calibrate": "calibrate --preds {D}/demo.preds.jsonl --hyp {D}/demo.hyp --ref {D}/demo.ref "
+                 "--out {O}/c.json",
+    "attn": "attn --attn {D}/demo.attn.jsonl --out {O}/curve.csv",
+    "report": "report --real-src {D}/real.src --real-tgt {D}/real.tgt "
+              "--distilled-src {D}/distilled.src --distilled-tgt {D}/distilled.tgt "
+              "--iters 5 --out {O}/r.json --csv {O}/r.csv",
+}
+
+# runs each argv of the JSON object in argv[1] through cli.run and prints
+# each one's exit code and stderr
+_HASH_SEED_CHILD = """
+import contextlib, io, json, sys
+from distillens.cli import run
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        results[name] = [run(argv), err.getvalue()]
+print(json.dumps(results))
+"""
+
+
+class TestHashSeed:
+    """Repeat runs in one process share one str hash order, so outputs that
+    followed it would still match; runs under two hash seeds would not."""
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        data = str(bundled_data_dir())
+        package_root = str(Path(distillens.__file__).parent.parent)
+        seen = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            out.mkdir()
+            runs = {
+                name: [word.format(D=data, O=out) for word in template.split()]
+                for name, template in _HASH_SEED_RUNS.items()
+            }
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+            result = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_CHILD, json.dumps(runs)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            results = json.loads(result.stdout)
+            assert [code for code, _ in results.values()] == [0] * len(runs)
+            assert all(results[name][1] for name in ("align", "calibrate", "report"))
+            outputs = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            seen.append((outputs, results))
+        assert len(seen[0][0]) == 14
+        assert seen[0] == seen[1]

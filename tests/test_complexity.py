@@ -240,6 +240,20 @@ class TestFaithfulness:
         with pytest.raises(ValueError):
             faithfulness(table, table, alpha=-0.5)
 
+    @pytest.mark.parametrize(
+        "alpha, fault",
+        [(1e308, "too large: a smoothed value is 0"),
+         (1e-320, "too small: faithfulness is inf")],
+    )
+    def test_alpha_that_overflows_rejected(self, alpha, fault):
+        """Finite positive alphas whose smoothing overflows: 1e308 * 2
+        smooths every probability to 0, and p / 1e-320 is inf."""
+        real = ConditionalTable({"x": {"y1": 1, "y2": 1}})
+        distilled = ConditionalTable({"x": {"y1": 1}})
+        with pytest.raises(ValueError) as info:
+            faithfulness(real, distilled, alpha)
+        assert str(info.value) == f"smoothing constant {alpha} is {fault}"
+
 
 class TestComputeReport:
     def _corpus(self):

@@ -282,12 +282,6 @@ class TestTokenPredictions:
         write_token_predictions(records, path)
         assert read_token_predictions(path) == records
 
-    @pytest.mark.parametrize("flag", [None, True, False])
-    @pytest.mark.parametrize("correct", [True, False])
-    def test_with_correct_matches_replace(self, flag, correct):
-        record = TokenPredictionRecord(3, 1, "a", 0.5, flag)
-        assert record.with_correct(correct) == record._replace(correct=correct)
-
 
 class TestAttention:
     def test_renormalized_within_tolerance(self, tmp_path):
