@@ -3,9 +3,9 @@
 Two families of measurements live here. From attention exports:
 per-matrix attention confidence (mean over target rows of the largest
 source weight) and its per-decoding-iteration aggregation. From token
-prediction exports: average confidence, token-level accuracy against a
-reference via edit-distance matching, and the expected calibration
-error (ECE) with equal-width confidence bins.
+prediction exports: token-level accuracy against a reference via
+edit-distance matching, and the expected calibration error (ECE) with
+equal-width confidence bins, reported with the mean confidence.
 
 All quantities are fractions in [0, 1]; callers that want percentages
 format them at display time.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus_io import (
-    AttentionRecord, TokenPredictionRecord, _add_in_order, _check_attention, _read_lines
+    AttentionRecord, TokenPredictionRecord, _add_in_order, _attention_parser, _read_lines
 )
 from .errors import ValidationError
 
@@ -27,7 +27,6 @@ __all__ = [
     "confidence_by_iteration",
     "token_accuracy",
     "expected_calibration_error",
-    "average_confidence",
     "fill_correctness",
 ]
 
@@ -51,11 +50,8 @@ class CalibrationReport(NamedTuple):
 
     The ece field is computed from the bins, so recomputing
     sum((count / total) * abs(mean_accuracy - mean_confidence)) over
-    the bins reproduces it bit for bit. The confidence field adds the
-    per-bin probability sums in bin order, while average_confidence adds
-    the probabilities left to right, so the two can differ in the last
-    digits: 0.6698582575406031 against 0.6698582575406005 on the 4310
-    tokens of perfbench's calib-long input at seed 0.
+    the bins reproduces it bit for bit. The confidence field is the
+    mean probability, with the per-bin probability sums added in bin order.
     """
 
     accuracy: float
@@ -121,11 +117,9 @@ def _confidence_by_iteration(
     }
 
 
-def _parse_attention_confidence(raw: str) -> tuple[int, float] | None:
-    checked = _check_attention(raw)
-    if checked is None:
-        return None
-    _, iteration, _, rows = checked
+def _iteration_confidence(
+    sentence_id: int, iteration: int, head: int, rows: list[tuple[list[float], float]]
+) -> tuple[int, float]:
     # dividing by a positive total keeps the order of the weights, so each
     # peak is bit for bit the largest weight of the renormalized row
     return iteration, _mean_peak([max(values) / total for values, total in rows])
@@ -135,7 +129,7 @@ def _read_attention_confidence(path: str) -> list[tuple[int, float]]:
     """The iteration and attention confidence of each matrix in an attention
     file, with the checks and errors of read_attention; each matrix is
     reduced to its confidence as its line is read."""
-    return _read_lines(path, _parse_attention_confidence)
+    return _read_lines(path, _attention_parser(_iteration_confidence))
 
 
 def _edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:
@@ -331,13 +325,6 @@ def expected_calibration_error(
     accuracy = sum(correct_counts) / total
     confidence = _add_in_order(confidence_sums) / total
     return CalibrationReport(accuracy, confidence, ece, tuple(bins))
-
-
-def average_confidence(records: Sequence[TokenPredictionRecord]) -> float:
-    """Unweighted mean probability over all tokens."""
-    if not records:
-        raise ValueError("records must be non-empty")
-    return _add_in_order(record.probability for record in records) / len(records)
 
 
 def fill_correctness(

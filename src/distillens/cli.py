@@ -293,16 +293,20 @@ def _positive_int(text: str) -> int:
 
 def _output_path(text: str) -> str:
     """An output file path; checked before any input is read, so a bad
-    one leaves no other output behind."""
+    one leaves no other output behind. A symlink is checked, and written,
+    as the file it names, which need not exist yet."""
     if not text:
         raise argparse.ArgumentTypeError("output path must not be empty")
-    if os.path.isdir(text):
+    target = os.path.realpath(text)
+    if os.path.isdir(target):
         raise argparse.ArgumentTypeError(f"cannot write {text!r}: it is a directory")
-    directory = os.path.dirname(text)
-    if directory and not os.path.isdir(directory):
-        raise argparse.ArgumentTypeError(
-            f"cannot write {text!r}: {directory!r} is not a directory"
-        )
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: it is not a regular file")
+    for directory in (os.path.dirname(text) or os.curdir, os.path.dirname(target)):
+        if not os.path.isdir(directory):
+            raise argparse.ArgumentTypeError(
+                f"cannot write {text!r}: {directory!r} is not a directory"
+            )
     return text
 
 

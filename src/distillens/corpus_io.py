@@ -578,11 +578,31 @@ def _check_attention(raw: str) -> tuple[int, int, int, list[tuple[list[float], f
     return sentence_id, iteration, head, rows
 
 
-def _parse_attention(raw: str) -> AttentionRecord | None:
-    checked = _check_attention(raw)
-    if checked is None:
-        return None
-    sentence_id, iteration, head, rows = checked
+def _attention_parser(build: Callable[[int, int, int, list], object]) -> Callable[[str], object]:
+    """A line parser for one attention file: ``build(sentence_id, iteration,
+    head, rows)`` from each line that _check_attention accepts. It refuses
+    a (sentence, iteration, head) key that an earlier line of that file held."""
+    seen_keys: set[tuple[int, int, int]] = set()
+
+    def parse_line(raw: str) -> object:
+        checked = _check_attention(raw)
+        if checked is None:
+            return None
+        sentence_id, iteration, head, rows = checked
+        key = (sentence_id, iteration, head)
+        if key in seen_keys:
+            raise FormatError(
+                f"duplicate head {head} at iteration {iteration} in sentence {sentence_id}"
+            )
+        seen_keys.add(key)
+        return build(sentence_id, iteration, head, rows)
+
+    return parse_line
+
+
+def _attention_record(
+    sentence_id: int, iteration: int, head: int, rows: list[tuple[list[float], float]]
+) -> AttentionRecord:
     normalized = tuple(tuple(map(total.__rtruediv__, values)) for values, total in rows)
     return AttentionRecord(sentence_id, iteration, head, normalized)
 
@@ -595,15 +615,16 @@ def read_attention(path: str) -> list[AttentionRecord]:
     non-finite (the first such weight is named as written); the row sums,
     added left to right, to within 1e-4 of one. A row with defects of
     more than one kind gets the message of the first check it fails.
-    Rows that pass are renormalized exactly; errors name the offending
-    record's line number.
+    Rows that pass are renormalized exactly. A (sentence, iteration, head)
+    key may appear once. Errors name the offending record's line number.
     """
-    return _read_lines(path, _parse_attention)
+    return _read_lines(path, _attention_parser(_attention_record))
 
 
 def write_attention(records: Sequence[AttentionRecord], path: str) -> None:
     """Write one JSON object per record."""
-    _write_lines(map(_json_line, map(AttentionRecord._asdict, records)), path, _check_attention)
+    parse_line = _attention_parser(_attention_record)
+    _write_lines(map(_json_line, map(AttentionRecord._asdict, records)), path, parse_line)
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +651,11 @@ def atomic_write(path: str):
     """Write to a new temp file beside ``path`` and rename it into place on
     success. The temp file is created exclusively, with the mode that
     ``open(path, "w")`` gives; on any error after that it is removed, so
-    the destination is either untouched or complete.
+    the destination is either untouched or complete. A symlink is written
+    through: the file it names is replaced, and the link stays.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     tmp_path = os.path.join(directory, f".tmp.{os.urandom(6).hex()}~")
     fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
     try:

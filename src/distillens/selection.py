@@ -16,8 +16,10 @@ that is constant across the list maps to 0.5 for every entry.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count, repeat
 from math import exp, log
-from typing import NamedTuple, Sequence
+from operator import add, mul
+from typing import Iterator, NamedTuple, Sequence
 
 from .aligner import NULL_TOKEN, TranslationTable, viterbi_align
 from .aligner import word_alignment_score  # unused; perfbench's tracer patches it here
@@ -36,6 +38,8 @@ __all__ = [
 COMPLEXITY_KINDS = ("frs", "walign", "nmt")
 
 MAX_NGRAM = 4
+
+_RefTable = tuple[dict[str, int], list[Counter]]
 
 
 class SelectionConfig(_Frozen):
@@ -70,32 +74,55 @@ class ScoredHypothesis(NamedTuple):
     total: float
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _coded_grams(words: list[int], base: int, max_ngram: int) -> Iterator[list[int]]:
+    """The codes of the n-grams of coded ``words``, one list per n = 1..max_ngram."""
+    grams = words
+    yield grams
+    for n in range(1, max_ngram):
+        # map stops at its shorter input, so the last gram gets no successor
+        grams = list(map(add, map(mul, grams, repeat(base)), words[n:]))
+        yield grams
 
 
-def _reference_counts(reference: Sequence[str], max_ngram: int) -> list[Counter]:
-    """The reference's n-gram counts for n = 1..max_ngram."""
+def _reference_counts(reference: Sequence[str], max_ngram: int) -> _RefTable:
+    """The reference's word codes and its coded n-gram counts for n = 1..max_ngram.
+
+    Each reference word gets an int code in order of first appearance,
+    and every other word shares the code ``len(codes)``. An n-gram's code
+    is the base ``len(codes) + 1`` number of its word codes, so two
+    n-grams share a code when they hold the same words, or when each
+    holds a word the reference lacks; such an n-gram matches nothing.
+    """
     if not reference:
         raise ValueError("reference must be non-empty")
     if max_ngram < 1:
         raise ValueError(f"max_ngram must be >= 1, got {max_ngram}")
-    return [_ngram_counts(reference, n) for n in range(1, max_ngram + 1)]
+    codes = dict(zip(dict.fromkeys(reference), count()))
+    words = list(map(codes.__getitem__, reference))
+    return codes, list(map(Counter, _coded_grams(words, len(codes) + 1, max_ngram)))
 
 
-def _bleu(hypothesis: Sequence[str], ref_len: int, ref_counts: list[Counter]) -> float:
-    """smoothed_sentence_bleu against a reference given by its length and counts."""
+def _bleu(hypothesis: Sequence[str], ref_len: int, ref_table: _RefTable) -> float:
+    """smoothed_sentence_bleu against a reference given by its length and table."""
     if not hypothesis:
         return 0.0
+    codes, ref_counts = ref_table
     max_ngram = len(ref_counts)
+    words = list(map(codes.get, hypothesis, repeat(len(codes))))
     log_precision_sum = 0.0
-    for n, ref_grams in enumerate(ref_counts, start=1):
-        matches = 0
-        for gram, count in _ngram_counts(hypothesis, n).items():
-            ref_count = ref_grams.get(gram)
-            if ref_count is not None:
-                matches += count if count < ref_count else ref_count
-        total = max(len(hypothesis) - n + 1, 0)
+    for n, grams, ref_grams in zip(
+        count(1), _coded_grams(words, len(codes) + 1, max_ngram), ref_counts
+    ):
+        distinct = set(grams)
+        if len(distinct) == len(grams):  # each gram once: it clips to 1 if it matches
+            matches = len(distinct.intersection(ref_grams))
+        else:
+            matches = 0
+            for gram, gram_count in Counter(grams).items():
+                ref_count = ref_grams.get(gram)
+                if ref_count is not None:
+                    matches += gram_count if gram_count < ref_count else ref_count
+        total = len(grams)
         if n == 1:
             if matches == 0:
                 return 0.0
@@ -183,8 +210,8 @@ def score_hypotheses(
     """Score every entry of one k-best list, preserving list order."""
     if not kbest.entries:
         raise ValueError(f"k-best list for sentence {kbest.sentence_id} is empty")
-    ref_counts = _reference_counts(reference, MAX_NGRAM)
-    sims = [_bleu(entry.hypothesis, len(reference), ref_counts) for entry in kbest.entries]
+    ref_table = _reference_counts(reference, MAX_NGRAM)
+    sims = [_bleu(entry.hypothesis, len(reference), ref_table) for entry in kbest.entries]
     raws = _complexity_raws(kbest.entries, source, config, table)
     sim_norms = min_max_normalize(sims)
     cxty_norms = min_max_normalize(raws)

@@ -12,7 +12,6 @@ from distillens import (
     TokenPredictionRecord,
     ValidationError,
     attention_confidence,
-    average_confidence,
     confidence_by_iteration,
     expected_calibration_error,
     fill_correctness,
@@ -373,22 +372,6 @@ class TestExpectedCalibrationError:
             ],
         }
         assert isinstance(payload["bins"], list)
-
-
-class TestAverageConfidence:
-    def test_pairs(self):
-        assert average_confidence([_pred(0.5, None), _pred(0.5, None)]) == 0.5
-
-    def test_single(self):
-        assert average_confidence([_pred(1.0, None)]) == 1.0
-
-    def test_mean(self):
-        records = [_pred(p, None) for p in (0.2, 0.4, 0.9)]
-        assert average_confidence(records) == pytest.approx(0.5, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_confidence([])
 
 
 class _CountingDict(dict):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,7 @@ class TestNonFiniteInput:
 
 
 _ATTN = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": %s}\n'
+_ATTN_HEAD_1 = _ATTN.replace('"head": 0', '"head": 1')
 _PRED = '{"sentence_id": 0, "position": 0, "token": "a", "probability": %s}\n'
 
 
@@ -284,7 +286,7 @@ def utf8_inputs(tmp_path, corpus_files):
         "--kbest": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -0.5\n"),
         "--table": _write(tmp_path / "t.tsv", "a\tx\t1.0\nb\ty\t1.0\n"),
         "--preds": _write(tmp_path / "p.jsonl", pred % (0, "a") + pred % (1, "b")),
-        "--attn": _write(tmp_path / "a.jsonl", _ATTN % "[[1.0]]" * 2),
+        "--attn": _write(tmp_path / "a.jsonl", _ATTN % "[[1.0]]" + _ATTN_HEAD_1 % "[[1.0]]"),
     }
 
 
@@ -549,6 +551,44 @@ class TestOutputPaths:
         assert "iteration" not in err and ".tmp." not in err
         assert set(tmp_path.iterdir()) == inputs
         assert os.listdir(directory) == []
+
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_output_symlink_written_through(self, tmp_path, files, dangling):
+        target = tmp_path / "target.csv"
+        if not dangling:
+            target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(["attn", "--attn", files["J"], "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "iteration,mean_confidence\n1,1.0\n"
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp.")]
+
+    def test_output_symlink_and_its_target_name_one_file(self, tmp_path, capsys, files):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "out")
+        argv = ["align", "--src", files["S"], "--tgt", files["T"],
+                "--out", str(link), "--table", files["OUT"]]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.endswith("error: --out and --table name the same file\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_output_that_is_a_fifo_rejected(self, tmp_path, capsys, files, via_link):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        out = fifo
+        if via_link:
+            out = tmp_path / "link"
+            out.symlink_to(fifo)
+        inputs = set(tmp_path.iterdir())
+        assert run(["attn", "--attn", files["J"], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --out: cannot write {str(out)!r}: it is not a regular file\n"
+        )
+        assert set(tmp_path.iterdir()) == inputs
+        assert fifo.is_fifo()
 
     def test_current_directory_as_output_rejected(self, tmp_path, capsys, files, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1038,7 +1078,12 @@ def _attention_record(draw):
     }
 
 
-_ATTENTION_RECORD = _attention_record()
+def _attention_records(**size):
+    """Lists of attention records in which no (sentence, iteration, head) repeats."""
+    key = itemgetter("sentence_id", "iteration", "head")
+    return st.lists(_attention_record(), unique_by=key, **size)
+
+
 _ATTENTION_WITH_ROW = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, 0.0], %s]}'
 # one row per defect a row check names
 _BAD_ATTENTION_ROWS = [
@@ -1067,8 +1112,23 @@ class TestAttn:
         assert run(["attn", "--attn", path, "--out", str(out)]) == 0
         assert out.read_text() == "iteration,mean_confidence\n1,1.0\n2,0.5\n"
 
+    def test_repeated_key_refused_like_read_attention(self, tmp_path, capsys):
+        # the bundled file with its first line in front of it again
+        with open(bundled_data_dir() / "demo.attn.jsonl", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        path = _write(tmp_path / "a.jsonl", "".join([lines[0], *lines]))
+        with pytest.raises(FormatError) as info:
+            read_attention(path)
+        assert str(info.value) == (
+            f"{path}: line 2: duplicate head 0 at iteration 1 in sentence 0"
+        )
+        out = tmp_path / "curve.csv"
+        assert run(["attn", "--attn", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"distillens: {info.value}\n"
+        assert not out.exists()
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
-    @given(records=st.lists(_ATTENTION_RECORD, min_size=1, max_size=6))
+    @given(records=_attention_records(min_size=1, max_size=6))
     def test_curve_is_confidence_by_iteration_of_read_attention(self, tmp_path, records):
         path = _write(tmp_path / "a.jsonl", "".join(json.dumps(r) + "\n" for r in records))
         out = tmp_path / "curve.csv"
@@ -1081,7 +1141,7 @@ class TestAttn:
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
     @given(
-        records=st.lists(_ATTENTION_RECORD, max_size=4),
+        records=_attention_records(max_size=4),
         bad_row=st.sampled_from(_BAD_ATTENTION_ROWS),
         data=st.data(),
     )

@@ -8,7 +8,9 @@ file. Each variant changes one input file once: a line dropped,
 duplicated or blanked, a byte that is not UTF-8, a number replaced by
 ``nan``, ``inf``, ``1e400`` or ``-1``, or a stray tab. Where in the file
 is drawn from a ``random.Random`` seeded with the case's name, so every
-run tries the same variants.
+run tries the same variants. In a file whose lines carry a key, a
+duplicated line repeats its key, and the run must exit 1 naming the file,
+the line and the repeat.
 """
 
 import csv
@@ -39,6 +41,10 @@ _RUNS = {
     "--distilled-src distilled.src --distilled-tgt distilled.tgt --iters 2 "
     "--out OUT.json --csv OUT.csv",
 }
+
+# files in which a key may appear on one line only: (sentence, position)
+# for predictions, (sentence, iteration, head) for attention
+_KEYED = ("demo.preds.jsonl", "demo.attn.jsonl")
 
 # a number standing alone, not the digits inside a token such as src04
 _NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
@@ -168,6 +174,10 @@ def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
                 faults.append(f"{case}: exit {code} with {last!r}")
             if any(out.iterdir()):
                 faults.append(f"{case}: exit {code} left {sorted(p.name for p in out.iterdir())}")
+        if mutation == "duplicate" and name in _KEYED:
+            if code != 1 or not re.match(rf"distillens: {re.escape(paths[name])}: line \d+: "
+                                         r"duplicate ", last):
+                faults.append(f"{case}: a repeated key exits {code} with {last!r}")
         if name is None and code != 0:
             faults.append(f"{case}: the unchanged files exit {code}: {last!r}")
         shutil.rmtree(out)

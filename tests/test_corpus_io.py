@@ -284,6 +284,13 @@ class TestTokenPredictions:
 
 
 class TestAttention:
+    def test_repeated_key_rejected(self, tmp_path):
+        line = '{"sentence_id": 0, "iteration": 1, "head": %d, "weights": [[1.0]]}\n'
+        path = _write(tmp_path / "a", line % 0 + line % 1 + line % 0)
+        with pytest.raises(FormatError, match=r": line 3: duplicate head 0 at iteration 1 in "
+                           r"sentence 0$"):
+            read_attention(path)
+
     def test_renormalized_within_tolerance(self, tmp_path):
         path = _write(
             tmp_path / "a",
@@ -300,8 +307,8 @@ class TestAttention:
         path = _write(
             tmp_path / "a",
             "".join(
-                '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [%s]}\n' % row
-                for row in rows
+                '{"sentence_id": 0, "iteration": 1, "head": %d, "weights": [%s]}\n' % (head, row)
+                for head, row in enumerate(rows)
             ),
         )
         expected = []
@@ -477,6 +484,8 @@ class TestJsonLinesWriters:
              "attention weight -0.5 must be finite and >= 0"),
             (write_attention, AttentionRecord(0, 1, 0, ((0.5, 0.4),)),
              "attention row sums to 0.9, more than 0.0001 away from 1"),
+            (write_attention, AttentionRecord(0, 1, 0, ((1.0,),)),
+             "duplicate head 0 at iteration 1 in sentence 0"),
         ],
     )
     def test_what_the_reader_rejects_is_refused_with_no_file(

@@ -32,7 +32,7 @@ PUBLIC_NAMES = {
     "SelectionConfig", "ScoredHypothesis", "smoothed_sentence_bleu",
     "min_max_normalize", "score_hypotheses", "select_reference",
     "Bin", "CalibrationReport", "attention_confidence", "confidence_by_iteration",
-    "token_accuracy", "expected_calibration_error", "average_confidence",
+    "token_accuracy", "expected_calibration_error",
     "fill_correctness",
     "monotone_preorder",
 }

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,68 @@ class TestSmoothedSentenceBleu:
         honest = smoothed_sentence_bleu(["a", "b"], ["a", "b"])
         stuttering = smoothed_sentence_bleu(["a", "a", "b"], ["a", "b"])
         assert stuttering < honest
+
+
+def _counter_bleu(hypothesis, reference, max_ngram):
+    """smoothed_sentence_bleu as it was computed on tuple n-grams: one
+    Counter per order for each side, and a clipped loop over the
+    hypothesis's n-grams."""
+
+    def ngram_counts(tokens, n):
+        return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+    if not hypothesis:
+        return 0.0
+    log_precision_sum = 0.0
+    for n in range(1, max_ngram + 1):
+        ref_grams = ngram_counts(reference, n)
+        matches = 0
+        for gram, count in ngram_counts(hypothesis, n).items():
+            ref_count = ref_grams.get(gram)
+            if ref_count is not None:
+                matches += count if count < ref_count else ref_count
+        total = max(len(hypothesis) - n + 1, 0)
+        if n == 1:
+            if matches == 0:
+                return 0.0
+            log_precision_sum += math.log(matches / total)
+        else:
+            log_precision_sum += math.log((matches + 1) / (total + 1))
+    geometric_mean = math.exp(log_precision_sum / max_ngram)
+    brevity = min(1.0, math.exp(1.0 - len(reference) / len(hypothesis)))
+    return brevity * geometric_mean
+
+
+@st.composite
+def _bleu_cases(draw):
+    """A hypothesis, reference and max_ngram over an alphabet of 1-6 words,
+    so repeated n-grams and words the reference lacks are common."""
+    words = st.sampled_from("abcdef"[: draw(st.integers(1, 6))])
+    hypothesis = draw(st.lists(words, max_size=12))
+    reference = draw(st.lists(words, min_size=1, max_size=12))
+    return hypothesis, reference, draw(st.integers(1, 6))
+
+
+class TestAgainstTupleNgrams:
+    """BLEU on integer-coded n-grams gives the same float as on tuples."""
+
+    @settings(max_examples=1000)
+    @given(_bleu_cases())
+    def test_same_float(self, case):
+        hypothesis, reference, max_ngram = case
+        assert smoothed_sentence_bleu(hypothesis, reference, max_ngram) == _counter_bleu(
+            hypothesis, reference, max_ngram
+        )
+
+    def test_ngrams_sharing_a_code_through_absent_words(self):
+        # x, y, z and w are not in the reference, so they share one code:
+        # the unigrams x, y, z, w and the bigrams (x, y), (z, w) each
+        # share a code, and none of them may match a or (a, a)
+        hypothesis, reference = ["x", "y", "a", "z", "w"], ["a", "a", "b"]
+        score = smoothed_sentence_bleu(hypothesis, reference, 2)
+        assert score == _counter_bleu(hypothesis, reference, 2)
+        # p1 = 1/5, p2 = (0 + 1) / (4 + 1), no brevity penalty
+        assert score == pytest.approx(0.2, abs=1e-12)
 
 
 class TestMinMaxNormalize:
