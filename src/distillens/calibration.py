@@ -219,9 +219,10 @@ def token_accuracy(
     the band; cells outside count as infinite cost, and the minimum over
     in-band paths is the same triple as the minimum over all paths. The
     labels and the tie rule are therefore unchanged. An outside cell
-    holds cost n + m + 1, more than any path costs, so it never wins a
-    minimum: the diagonal neighbour of an in-band cell is in the band,
-    so a real cell is always among the candidates.
+    holds cost n + m + 1; it never wins a minimum, nor would any cost of
+    at least max(n, m): the diagonal neighbour of an in-band cell is in
+    the band and costs less, by its path down the diagonal and then
+    along the last row or column.
     """
     hyp = list(hypothesis)
     ref = list(reference)

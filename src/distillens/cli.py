@@ -270,7 +270,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
     # both corpora are measured against the real corpus's conditionals
     real_table = conditional_distribution(real, real_alignments)
     reports = {
-        "real": compute_report(real, real_alignments, real_table, args.alpha),
+        "real": compute_report(real, real_alignments, alpha=args.alpha),
         "distilled": compute_report(distilled, distilled_alignments, real_table, args.alpha),
     }
     payload = {name: report.to_dict() for name, report in reports.items()}

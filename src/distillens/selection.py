@@ -39,7 +39,7 @@ COMPLEXITY_KINDS = ("frs", "walign", "nmt")
 
 MAX_NGRAM = 4
 
-_RefTable = tuple[dict[str, int], list[Counter]]
+_RefTable = tuple[dict[str, int], list[tuple[Counter, dict[int, int]]]]
 
 
 class SelectionConfig(_Frozen):
@@ -85,7 +85,8 @@ def _coded_grams(words: list[int], base: int, max_ngram: int) -> Iterator[list[i
 
 
 def _reference_counts(reference: Sequence[str], max_ngram: int) -> _RefTable:
-    """The reference's word codes and its coded n-gram counts for n = 1..max_ngram.
+    """The reference's word codes and, for n = 1..max_ngram, its coded
+    n-gram counts next to the counts of those it repeats.
 
     Each reference word gets an int code in order of first appearance,
     and every other word shares the code ``len(codes)``. An n-gram's code
@@ -99,7 +100,8 @@ def _reference_counts(reference: Sequence[str], max_ngram: int) -> _RefTable:
         raise ValueError(f"max_ngram must be >= 1, got {max_ngram}")
     codes = dict(zip(dict.fromkeys(reference), count()))
     words = list(map(codes.__getitem__, reference))
-    return codes, list(map(Counter, _coded_grams(words, len(codes) + 1, max_ngram)))
+    orders = map(Counter, _coded_grams(words, len(codes) + 1, max_ngram))
+    return codes, [(grams, {g: c for g, c in grams.items() if c > 1}) for grams in orders]
 
 
 def _bleu(hypothesis: Sequence[str], ref_len: int, ref_table: _RefTable) -> float:
@@ -110,18 +112,14 @@ def _bleu(hypothesis: Sequence[str], ref_len: int, ref_table: _RefTable) -> floa
     max_ngram = len(ref_counts)
     words = list(map(codes.get, hypothesis, repeat(len(codes))))
     log_precision_sum = 0.0
-    for n, grams, ref_grams in zip(
+    for n, grams, (ref_grams, repeated) in zip(
         count(1), _coded_grams(words, len(codes) + 1, max_ngram), ref_counts
     ):
+        # a shared gram clips to min(its count, the reference's): 1 unless the reference repeats it
         distinct = set(grams)
-        if len(distinct) == len(grams):  # each gram once: it clips to 1 if it matches
-            matches = len(distinct.intersection(ref_grams))
-        else:
-            matches = 0
-            for gram, gram_count in Counter(grams).items():
-                ref_count = ref_grams.get(gram)
-                if ref_count is not None:
-                    matches += gram_count if gram_count < ref_count else ref_count
+        matches = len(distinct.intersection(ref_grams))
+        for gram in distinct.intersection(repeated):
+            matches += min(grams.count(gram), repeated[gram]) - 1
         total = len(grams)
         if n == 1:
             if matches == 0:

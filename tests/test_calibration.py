@@ -255,6 +255,25 @@ class TestTokenAccuracy:
     def test_packed_keys_edge_cases(self, hyp, ref):
         assert token_accuracy(hyp, ref) == _full_table_token_accuracy(hyp, ref)
 
+    def test_visits_only_the_band(self):
+        compared = []
+
+        class Token(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(other)
+                return str.__eq__(self, other)
+
+        # 12 trailing deletions: d = 12 = |skew|, so the band is
+        # -12 <= j - i <= 0, and each of its cells compares one token pair
+        ref = list("abcd" * 8)
+        hyp = [Token(token) for token in ref + list("wxyz" * 3)]
+        band = sum(-12 <= j - i <= 0 for i in range(len(hyp)) for j in range(len(ref)))
+        assert token_accuracy(hyp, ref) == [True] * 32 + [False] * 12
+        # _edit_distance looks each hypothesis token up once
+        assert band <= len(compared) <= band + len(hyp)
+
     @settings(max_examples=300)
     @given(_long_token_pairs())
     def test_edit_distance_matches_levenshtein(self, pair):
@@ -301,9 +320,10 @@ class TestExpectedCalibrationError:
             _pred(rng.random(), rng.random() < 0.5, position=k)
             for k in range(500)
         ]
-        report = expected_calibration_error(records, n_bins=7)
-        assert sum(b.count for b in report.bins) == 500
-        assert len(report.bins) == 7
+        for n_bins in (7, 1):
+            report = expected_calibration_error(records, n_bins)
+            assert sum(b.count for b in report.bins) == 500
+            assert len(report.bins) == n_bins
 
     def test_ece_recomputable_from_bins(self):
         rng = random.Random(43)
@@ -434,9 +454,10 @@ class TestFillCorrectness:
             fill_correctness(records, {0: ["a"], 1: ["a"]}, {0: ["a"]})
 
     def test_position_out_of_range_rejected(self):
-        records = [TokenPredictionRecord(0, 3, "a", 0.9, None)]
-        with pytest.raises(ValidationError):
-            fill_correctness(records, {0: ["a"]}, {0: ["a"]})
+        for position in (3, 1):
+            records = [TokenPredictionRecord(0, position, "a", 0.9, None)]
+            with pytest.raises(ValidationError, match=f"position {position} out of range"):
+                fill_correctness(records, {0: ["a"]}, {0: ["a"]})
 
     def test_token_mismatch_rejected(self):
         records = [TokenPredictionRecord(0, 0, "b", 0.9, None)]

@@ -1,7 +1,9 @@
 """End-to-end subcommand behaviour through the public entry point."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -606,16 +608,17 @@ class TestAlign:
         src, tgt, _ = corpus_files
         out = tmp_path / "out.aln"
         table = tmp_path / "table.tsv"
-        code = run(
-            ["align", "--src", src, "--tgt", tgt, "--iters", "8",
-             "--out", str(out), "--table", str(table)]
-        )
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines == ["0-0 1-1", "0-0", "0-0"]
-        rows = [line.split("\t") for line in table.read_text().splitlines()]
-        assert all(len(row) == 3 for row in rows)
-        assert "log-likelihood" in capsys.readouterr().err
+        for iters in (8, 1):
+            code = run(
+                ["align", "--src", src, "--tgt", tgt, "--iters", str(iters),
+                 "--out", str(out), "--table", str(table)]
+            )
+            assert code == 0
+            lines = out.read_text().splitlines()
+            assert lines == ["0-0 1-1", "0-0", "0-0"]
+            rows = [line.split("\t") for line in table.read_text().splitlines()]
+            assert all(len(row) == 3 for row in rows)
+            assert capsys.readouterr().err.count("log-likelihood") == iters
 
 
 class TestMetrics:
@@ -976,8 +979,9 @@ class TestCalibrate:
         assert run(argv + [str(MAX_BINS + 1)]) == 2
         assert f"--bins: must be <= {MAX_BINS}, got {MAX_BINS + 1}" in capsys.readouterr().err
         assert not out.exists()
-        assert run(argv + [str(MAX_BINS)]) == 0
-        assert json.loads(out.read_text())["n_bins"] == MAX_BINS
+        for bins in (MAX_BINS, 1):
+            assert run(argv + [str(bins)]) == 0
+            assert json.loads(out.read_text())["n_bins"] == bins
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -987,6 +991,10 @@ class TestCalibrate:
                 "a y c\n",
                 "prediction token 'x' at sentence 0 position 1 does not match "
                 "hypothesis token 'y'",
+            ),
+            (
+                "a x\n",
+                "prediction position 2 out of range for sentence 0 (2 hypothesis tokens)",
             ),
             (
                 None,
@@ -1235,6 +1243,68 @@ class TestReport:
         assert "log-likelihood" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["real"]["sentence_count"] == 3
+
+
+def _metrics_and_report(out, rename=str, shuffle=None):
+    """Write the bundled real and distilled corpora to ``out``, every token
+    through ``rename`` and, given a ``random.Random``, the sentences of each
+    corpus shuffled by it (alignment lines move with their pairs). Then run
+    ``metrics`` on each corpus against the other and ``report`` with EM,
+    and return each output file's bytes and report's stderr by name."""
+    data = bundled_data_dir()
+    out.mkdir()
+    for corpus in ("real", "distilled"):
+        src, tgt, aln = (
+            (data / f"{corpus}.{ext}").read_text().splitlines() for ext in ("src", "tgt", "aln")
+        )
+        order = list(range(len(src)))
+        if shuffle is not None:
+            shuffle.shuffle(order)
+        for ext, lines in (("src", src), ("tgt", tgt)):
+            text = "".join(" ".join(map(rename, lines[k].split())) + "\n" for k in order)
+            (out / f"{corpus}.{ext}").write_text(text)
+        (out / f"{corpus}.aln").write_text("".join(aln[k] + "\n" for k in order))
+    for corpus, other in (("real", "distilled"), ("distilled", "real")):
+        argv = (
+            f"metrics --src {out}/{corpus}.src --tgt {out}/{corpus}.tgt --align {out}/{corpus}.aln "
+            f"--real-src {out}/{other}.src --real-tgt {out}/{other}.tgt "
+            f"--real-align {out}/{other}.aln --out {out}/{corpus}.json"
+        )
+        assert run(argv.split()) == 0
+    argv = (
+        f"report --real-src {out}/real.src --real-tgt {out}/real.tgt "
+        f"--distilled-src {out}/distilled.src --distilled-tgt {out}/distilled.tgt "
+        f"--iters 4 --out {out}/report.json"
+    )
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(argv.split()) == 0
+    names = ("real.json", "distilled.json", "report.json")
+    return {**{name: (out / name).read_bytes() for name in names}, "report stderr": err.getvalue()}
+
+
+class TestMetamorphic:
+    """Relations between runs on the bundled corpora and on transformed copies."""
+
+    def test_renaming_every_token_changes_no_byte(self, tmp_path):
+        # reversed, prefixed and suffixed: one-to-one, and never NULL_TOKEN
+        renamed = _metrics_and_report(tmp_path / "renamed", lambda token: f"w{token[::-1]}_")
+        assert renamed == _metrics_and_report(tmp_path / "plain")
+
+    def test_sentence_order_moves_values_only_in_the_last_digits(self, tmp_path):
+        shuffled = _metrics_and_report(tmp_path / "shuffled", shuffle=random.Random(5))
+        plain = _metrics_and_report(tmp_path / "plain")
+
+        def values(outputs):
+            report = json.loads(outputs["report.json"])
+            assert list(report) == ["distilled", "real"]
+            return [json.loads(outputs["real.json"]), json.loads(outputs["distilled.json"]),
+                    report["distilled"], report["real"]]
+
+        # FRS sums over sentences, and lexical diversity and faithfulness over
+        # source words in order of first appearance, so the floats may move:
+        # here real's FRS reads 0.21312499999999998 against 0.21312500000000004
+        for got, expected in zip(values(shuffled), values(plain)):
+            assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # bundled-data runs whose outputs could follow str hash order, in the

@@ -155,6 +155,11 @@ class TestConditionalDistribution:
         for x in table.vocabulary():
             assert max(table.distribution(x).values()) == 1.0
 
+    def test_zero_counts_left_out(self):
+        table = ConditionalTable({"a": {"x": 0}, "b": {"x": 2, "y": 0}})
+        assert table.vocabulary() == ["b"]
+        assert table.distribution("b") == {"x": 1.0}
+
     def test_distributions_normalized(self):
         rng = random.Random(11)
         counts = {

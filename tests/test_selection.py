@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distillens import (
@@ -120,6 +120,14 @@ class TestAgainstTupleNgrams:
 
     @settings(max_examples=1000)
     @given(_bleu_cases())
+    # the hypothesis repeats a and (a, a) more often than the reference: clipped at 3 and 2
+    @example((["a", "a", "a", "a", "b"], ["a", "a", "a", "b"], 2))
+    # less often than the reference: clipped at its own 3 and 2
+    @example((["a", "a", "a", "b"], ["a", "a", "a", "a", "b"], 2))
+    # only the hypothesis repeats a, b and (a, b): each clipped at 1
+    @example((["a", "b", "a", "b"], ["a", "b", "c"], 2))
+    # x, y and (x, y), repeated, hold only words the reference lacks: no match
+    @example((["x", "y", "x", "y", "a"], ["a", "a", "b"], 2))
     def test_same_float(self, case):
         hypothesis, reference, max_ngram = case
         assert smoothed_sentence_bleu(hypothesis, reference, max_ngram) == _counter_bleu(
