@@ -125,11 +125,11 @@ def _iteration_confidence(
     return iteration, _mean_peak([max(values) / total for values, total in rows])
 
 
-def _read_attention_confidence(path: str) -> list[tuple[int, float]]:
-    """The iteration and attention confidence of each matrix in an attention
-    file, with the checks and errors of read_attention; each matrix is
-    reduced to its confidence as its line is read."""
-    return _read_lines(path, _attention_parser(_iteration_confidence))
+def _attention_curve(path: str) -> dict[int, float]:
+    """confidence_by_iteration of an attention file, with the checks and
+    errors of read_attention; each matrix is reduced to its confidence as
+    its line is read, so no matrix is kept."""
+    return _confidence_by_iteration(_read_lines(path, _attention_parser(_iteration_confidence)))
 
 
 def _edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> int:

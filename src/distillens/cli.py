@@ -29,8 +29,7 @@ from .aligner import (
 from .calibration import (
     DEFAULT_BINS,
     MAX_BINS,
-    _confidence_by_iteration,
-    _read_attention_confidence,
+    _attention_curve,
     confidence_by_iteration,
     expected_calibration_error,
     fill_correctness,
@@ -230,13 +229,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
         args.parser.error("--hyp and --ref must be given together")
     records = _nonempty(read_token_predictions(args.preds), args.preds, "token predictions")
     if args.hyp is not None:
-        hypotheses = dict(enumerate(read_token_lines(args.hyp)))
-        references = dict(enumerate(read_token_lines(args.ref)))
-        if len(hypotheses) != len(references):
-            raise ValidationError(
-                f"{args.hyp} has {len(hypotheses)} lines but {args.ref} "
-                f"has {len(references)}"
-            )
+        pairs = read_parallel_corpus(args.hyp, args.ref)
+        hypotheses = {i: pair.source for i, pair in enumerate(pairs)}
+        references = {i: pair.target for i, pair in enumerate(pairs)}
     try:
         if args.hyp is not None:
             records = fill_correctness(records, hypotheses, references)
@@ -253,9 +248,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> None:
 
 
 def _cmd_attn(args: argparse.Namespace) -> None:
-    # the curve needs only each matrix's confidence, so no matrix is kept
-    confidences = _nonempty(_read_attention_confidence(args.attn), args.attn, "attention records")
-    curve = _confidence_by_iteration(confidences)
+    curve = _nonempty(_attention_curve(args.attn), args.attn, "attention records")
     _write_csv(["iteration", "mean_confidence"], curve.items(), args.out)
 
 

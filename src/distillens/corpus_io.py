@@ -448,9 +448,23 @@ def write_kbest(lists: Mapping[int, KBestList], path: str) -> None:
 # token predictions
 
 
+def _members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict. A name given twice is a
+    FormatError; json alone would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise FormatError(f"field {repeated!r} appears twice")
+    return obj
+
+
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_members)
+
+
 def _load_json_line(raw: str) -> dict:
     try:
-        record = json.loads(raw)
+        record = _JSON_DECODER.decode(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}") from None
     except ValueError:

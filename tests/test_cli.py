@@ -5,10 +5,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
@@ -1021,7 +1023,9 @@ class TestCalibrate:
         out = tmp_path / "cal.json"
         argv = ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref, "--out", str(out)]
         assert run(argv) == 1
-        assert capsys.readouterr().err == f"distillens: {hyp} has 2 lines but {ref} has 1\n"
+        assert capsys.readouterr().err == (
+            f"distillens: line counts differ: {hyp} has 2 lines, {ref} has 1 lines\n"
+        )
         assert not out.exists()
 
     # sha256 of `calibrate` on the bundled predictions, whose correct flags
@@ -1305,6 +1309,156 @@ class TestMetamorphic:
         # here real's FRS reads 0.21312499999999998 against 0.21312500000000004
         for got, expected in zip(values(shuffled), values(plain)):
             assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@st.composite
+def _tiny_inputs(draw):
+    """A tiny parallel corpus; k-best lists for its first K pairs; drawn
+    hypothesis lines, line-parallel with its targets, with predictions at
+    some of their positions; and key-unique attention records."""
+    src_words = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
+    tgt_words = st.sampled_from("wxyz"[: draw(st.integers(2, 4))])
+    size = draw(st.integers(1, 6))
+
+    def lines(words):
+        line = st.lists(words, min_size=1, max_size=6).map(" ".join)
+        return draw(st.lists(line, min_size=size, max_size=size))
+
+    src, tgt, hyp = lines(src_words), lines(tgt_words), lines(tgt_words)
+    hypotheses = st.lists(st.lists(tgt_words, min_size=1, max_size=6), min_size=1, max_size=4)
+    kbest = [
+        f"{sentence_id} ||| {' '.join(tokens)} ||| {draw(st.sampled_from([-3.0, -0.5]))}"
+        for sentence_id in range(draw(st.integers(1, size)))
+        for tokens in draw(hypotheses)
+    ]
+    predictions = []
+    for sentence_id, line in enumerate(hyp):
+        for position, token in enumerate(line.split()):
+            if draw(st.booleans()):
+                record = {"sentence_id": sentence_id, "position": position, "token": token,
+                          "probability": draw(st.floats(0.0, 1.0))}
+                correct = draw(st.sampled_from([None, True, False]))
+                if correct is not None:
+                    record["correct"] = correct
+                predictions.append(json.dumps(record))
+    attention = [json.dumps(record) for record in draw(_attention_records(max_size=4))]
+    iterations = draw(st.integers(1, 3))
+    return {"c.src": src, "c.tgt": tgt, "h.txt": hyp, "k.txt": kbest, "p.jsonl": predictions,
+            "a.jsonl": attention}, str(iterations)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+def _finite_json(path):
+    """A JSON output, refusing NaN and ±Infinity."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_refuse_constant)
+
+
+def _lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _links_inside(alignment_lines, sources, targets):
+    assert len(alignment_lines) == len(sources) == len(targets)
+    for line, source, target in zip(alignment_lines, sources, targets):
+        for link in line.split():
+            i, j = map(int, link.split("-"))
+            assert 0 <= i < len(source.split()) and 0 <= j < len(target.split())
+
+
+class TestDrawnInputs:
+    """Every subcommand on tiny drawn valid inputs ends one of two ways: exit
+    0 with the invariants its outputs must keep, or exit 1 with a message
+    that starts with one of its inputs and no output written."""
+
+    @staticmethod
+    def _run(argv, inputs, outputs):
+        """True on exit 0; else the run must have exited 1, named an input
+        and written none of its outputs."""
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(argv)
+        if code == 0:
+            return True
+        last = err.getvalue().splitlines()[-1]
+        assert code == 1, last
+        assert any(last.startswith(f"distillens: {path}: ") for path in inputs), last
+        assert not any(os.path.exists(path) for path in outputs)
+        return False
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=60,
+              deadline=None)
+    @given(drawn=_tiny_inputs())
+    def test_every_subcommand(self, tmp_path, drawn):
+        files, iterations = drawn
+        d = Path(tempfile.mkdtemp(dir=tmp_path))
+        for name, lines in files.items():
+            _write(d / name, "".join(line + "\n" for line in lines))
+        src, tgt = str(d / "c.src"), str(d / "c.tgt")
+        sources, targets = files["c.src"], files["c.tgt"]
+        aln, table = str(d / "c.aln"), str(d / "t.tsv")
+
+        assert self._run(["align", "--src", src, "--tgt", tgt, "--iters", iterations,
+                          "--out", aln, "--table", table], [src, tgt], [aln, table])
+        _links_inside(_lines(aln), sources, targets)
+
+        real = ["--real-src", src, "--real-tgt", tgt, "--real-align", aln]
+        for extra in ([], real):
+            out = str(d / "m.json")
+            if self._run(["metrics", "--src", src, "--tgt", tgt, "--align", aln, *extra,
+                          "--out", out], [src, tgt, aln], [out]):
+                _finite_json(out)
+                os.unlink(out)
+
+        out_src, out_aln = str(d / "p.src"), str(d / "p.aln")
+        assert self._run(["preorder", "--src", src, "--tgt", tgt, "--align", aln,
+                          "--out-src", out_src, "--out-align", out_aln],
+                         [src, tgt, aln], [out_src, out_aln])
+        reordered = _lines(out_src)
+        assert [sorted(line.split()) for line in reordered] == [
+            sorted(line.split()) for line in sources
+        ]
+        _links_inside(_lines(out_aln), reordered, targets)
+
+        out = str(d / "r.json")
+        if self._run(["report", "--real-src", src, "--real-tgt", tgt, "--distilled-src",
+                      out_src, "--distilled-tgt", tgt, "--iters", iterations, "--out", out],
+                     [src, tgt, out_src], [out]):
+            assert sorted(_finite_json(out)) == ["distilled", "real"]
+
+        kbest, lists = str(d / "k.txt"), {}
+        for line in files["k.txt"]:
+            sentence_id, tokens, _ = line.split(" ||| ")
+            lists.setdefault(int(sentence_id), []).append(tokens)
+        for kind in ("nmt", "frs", "walign"):
+            out, scores = str(d / f"{kind}.out"), str(d / f"{kind}.csv")
+            assert self._run(["select", "--kbest", kbest, "--ref", tgt, "--src", src,
+                              "--cxty", kind, "--table", table, "--out", out,
+                              "--scores", scores], [kbest, tgt, src, table], [out, scores])
+            picks = _lines(out)
+            assert len(picks) == len(lists)
+            assert all(pick in lists[n] for n, pick in enumerate(picks))
+            header, *rows = _csv_rows(scores)
+            selected = [int(row[0]) for row in rows if row[header.index("selected")] == "1"]
+            assert selected == list(range(len(lists)))
+
+        preds = str(d / "p.jsonl")
+        for extra in ([], ["--hyp", str(d / "h.txt"), "--ref", tgt]):
+            out = str(d / "c.json")
+            if self._run(["calibrate", "--preds", preds, *extra, "--out", out],
+                         [preds, *extra[1::2]], [out]):
+                report = _finite_json(out)
+                assert sum(b["count"] for b in report["bins"]) == len(files["p.jsonl"])
+                os.unlink(out)
+
+        attn, out = str(d / "a.jsonl"), str(d / "curve.csv")
+        if self._run(["attn", "--attn", attn, "--out", out], [attn], [out]):
+            header, *rows = _csv_rows(out)
+            assert [int(row[0]) for row in rows] == sorted({int(row[0]) for row in rows})
+            assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 # bundled-data runs whose outputs could follow str hash order, in the

@@ -6,11 +6,13 @@ exits 1 or 2, with a last stderr line that starts with ``distillens: ``
 and names one of the run's input files, no traceback and no output
 file. Each variant changes one input file once: a line dropped,
 duplicated or blanked, a byte that is not UTF-8, a number replaced by
-``nan``, ``inf``, ``1e400`` or ``-1``, or a stray tab. Where in the file
-is drawn from a ``random.Random`` seeded with the case's name, so every
-run tries the same variants. In a file whose lines carry a key, a
+``nan``, ``inf``, ``1e400`` or ``-1``, a stray tab, or in a JSON-lines
+file one member of a record copied to the end of its object. Where in the
+file is drawn from a ``random.Random`` seeded with the case's name, so
+every run tries the same variants. In a file whose lines carry a key, a
 duplicated line repeats its key, and the run must exit 1 naming the file,
-the line and the repeat.
+the line and the repeat. A repeated member must exit 1 naming the file,
+the line and the member.
 """
 
 import csv
@@ -88,6 +90,26 @@ def _number(replacement):
     return mutate
 
 
+def _repeat_member(text, rng):
+    lines = text.splitlines(keepends=True)
+    records = []
+    for at, line in enumerate(lines):
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(obj, dict) and obj:
+            records.append((at, obj))
+    if not records:  # not a JSON-lines file
+        return None
+    at, obj = rng.choice(records)
+    name = rng.choice(sorted(obj))
+    line = lines[at]
+    end = line.rindex("}")
+    lines[at] = f"{line[:end]}, {json.dumps(name)}: {json.dumps(obj[name])}{line[end:]}"
+    return "".join(lines)
+
+
 _MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -98,6 +120,7 @@ _MUTATIONS = {
     "1e400": _number("1e400"),
     "-1": _number("-1"),
     "tab": _insert("\t"),
+    "repeat member": _repeat_member,
 }
 
 
@@ -149,7 +172,7 @@ def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
         if name is not None:
             text = (inputs / name).read_text(encoding="utf-8")
             mutated = _MUTATIONS[mutation](text, random.Random(case))
-            if mutated is None:  # no number to replace
+            if mutated is None:  # no number to replace, or no JSON object
                 continue
             paths[name] = str(tmp_path / name)
             (tmp_path / name).write_bytes(mutated.encode("utf-8", "surrogateescape"))
@@ -178,6 +201,10 @@ def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
             if code != 1 or not re.match(rf"distillens: {re.escape(paths[name])}: line \d+: "
                                          r"duplicate ", last):
                 faults.append(f"{case}: a repeated key exits {code} with {last!r}")
+        if mutation == "repeat member":
+            if code != 1 or not re.match(rf"distillens: {re.escape(paths[name])}: line \d+: "
+                                         r"field '\w+' appears twice$", last):
+                faults.append(f"{case}: a repeated member exits {code} with {last!r}")
         if name is None and code != 0:
             faults.append(f"{case}: the unchanged files exit {code}: {last!r}")
         shutil.rmtree(out)

@@ -419,6 +419,12 @@ class TestJsonLinesRecords:
             (read_attention, _ATTENTION_LINE % "[]", "field 'weights' must be a non-empty matrix"),
             (read_attention, _ATTENTION_LINE % "1.0",
              "field 'weights' must be a non-empty matrix"),
+            # json alone keeps a repeated member's last value: 0.1 and head 1
+            (read_token_predictions, _PREDICTION_LINE % ', "correct": true, "probability": 0.1',
+             "field 'probability' appears twice"),
+            (read_attention, _ATTENTION_LINE % '[[1.0]], "head": 1', "field 'head' appears twice"),
+            (read_attention, _ATTENTION_LINE % '[[1.0]], "weights": [[1.0]]',
+             "field 'weights' appears twice"),
         ],
     )
     def test_bad_record_message(self, tmp_path, read, line, message):

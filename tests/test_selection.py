@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distillens import (
-    Alignment,
     KBestEntry,
     KBestList,
     NULL_TOKEN,
@@ -19,6 +18,7 @@ from distillens import (
     min_max_normalize,
     score_hypotheses,
     select_reference,
+    sentence_frs,
     smoothed_sentence_bleu,
     viterbi_align,
     word_alignment_score,
@@ -323,101 +323,22 @@ class TestSelectionConfig:
             SelectionConfig(0.5, "bleu")
 
 
-# A frozen copy of the per-hypothesis scoring path that score_hypotheses
-# replaced: Viterbi-align each hypothesis, score that alignment with
-# word_alignment_score or sentence_frs, and count both sides' n-grams
-# in dicts for every BLEU call.
-
-
-def _frozen_viterbi(source, target, table):
-    probs = table.probs
-    null_row = probs.get(NULL_TOKEN, {})
-    rows = [probs.get(x, {}) for x in source]
-    links = set()
-    for j, y in enumerate(target):
-        best_index = None
-        best_prob = max(null_row.get(y, 0.0), PROB_FLOOR)
-        for i, row in enumerate(rows):
-            p = row.get(y, 0.0)
-            if p > best_prob:
-                best_prob = p
-                best_index = i
-        if best_index is not None:
-            links.add((best_index, j))
-    return Alignment(frozenset(links))
-
-
-def _frozen_word_alignment_score(pair, alignment, table):
-    alignment.validate(len(pair.source), len(pair.target))
-    chosen = alignment.leftmost_by_target()
-    total = 0.0
-    for j, y in enumerate(pair.target):
-        i = chosen.get(j)
-        x = NULL_TOKEN if i is None else pair.source[i]
-        total += math.log(table.prob(x, y))
-    return total
-
-
-def _frozen_sentence_frs(alignment, target_length):
-    if target_length < 1:
-        raise ValueError(f"target_length must be >= 1, got {target_length}")
-    alignment.validate(target_length=target_length)
-    reduced = list(alignment.leftmost_by_target().values())
-    if len(reduced) <= 1:
-        return 1.0
-    chunks = 1
-    for previous, current in zip(reduced, reduced[1:]):
-        if current != previous + 1:
-            chunks += 1
-    return 1.0 - (chunks - 1) / (len(reduced) - 1)
-
-
-def _frozen_ngram_counts(tokens, n):
-    counts = {}
-    for start in range(len(tokens) - n + 1):
-        gram = tuple(tokens[start : start + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
-
-
-def _frozen_bleu(hypothesis, reference, max_ngram=4):
-    if not reference:
-        raise ValueError("reference must be non-empty")
-    if not hypothesis:
-        return 0.0
-    log_precision_sum = 0.0
-    for n in range(1, max_ngram + 1):
-        hyp_counts = _frozen_ngram_counts(hypothesis, n)
-        ref_counts = _frozen_ngram_counts(reference, n)
-        matches = sum(
-            min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
-        )
-        total = max(len(hypothesis) - n + 1, 0)
-        if n == 1:
-            if matches == 0:
-                return 0.0
-            log_precision_sum += math.log(matches / total)
-        else:
-            log_precision_sum += math.log((matches + 1) / (total + 1))
-    geometric_mean = math.exp(log_precision_sum / max_ngram)
-    brevity = min(1.0, math.exp(1.0 - len(reference) / len(hypothesis)))
-    return brevity * geometric_mean
-
-
-def _frozen_scores(kbest, reference, source, config, table):
-    """(sim, cxty_raw, total) per entry, the old way."""
-    sims = [_frozen_bleu(entry.hypothesis, reference) for entry in kbest.entries]
+def _per_hypothesis_scores(kbest, reference, source, config, table):
+    """(sim, cxty_raw, total) per entry, each hypothesis scored on its own:
+    tuple-n-gram BLEU, and its own Viterbi alignment scored by
+    sentence_frs or word_alignment_score."""
+    sims = [_counter_bleu(entry.hypothesis, reference, 4) for entry in kbest.entries]
     raws = []
     for entry in kbest.entries:
         if config.complexity_kind == "nmt":
             raws.append(entry.nmt_logprob)
             continue
         pair = SentencePair(tuple(source), entry.hypothesis)
-        alignment = _frozen_viterbi(pair.source, pair.target, table)
+        alignment = viterbi_align(pair, table)
         if config.complexity_kind == "frs":
-            raws.append(_frozen_sentence_frs(alignment, len(entry.hypothesis)))
+            raws.append(sentence_frs(alignment, len(entry.hypothesis)))
         else:
-            raws.append(_frozen_word_alignment_score(pair, alignment, table))
+            raws.append(word_alignment_score(pair, alignment, table))
     w = config.sim_weight
     return [
         (sim, raw, w * sim_norm + (1.0 - w) * cxty_norm)
@@ -436,9 +357,21 @@ _PROBS = st.sampled_from([0.0, PROB_FLOOR / 2, PROB_FLOOR, 0.125, 0.25, 0.5, 1.0
 
 @st.composite
 def _selection_cases(draw):
+    """A table, a k-best list, a reference, two sources and a config. In
+    one shape of table each target word sits in at most one row, so each
+    word has one possible link."""
     rows = {}
     for x in [NULL_TOKEN] + _SOURCE_WORDS:
         if draw(st.booleans()) or x == "s0":
+            rows[x] = {}
+    if draw(st.booleans()):
+        for y in _TARGET_WORDS[:4]:
+            for x in rows:
+                if draw(st.booleans()):
+                    rows[x][y] = draw(_PROBS)
+                    break
+    else:
+        for x in rows:
             rows[x] = draw(st.dictionaries(st.sampled_from(_TARGET_WORDS[:4]), _PROBS))
     tokens = st.sampled_from(_TARGET_WORDS)
     sources = st.lists(st.sampled_from(_SOURCE_WORDS + ["s8"]), max_size=5)
@@ -462,72 +395,26 @@ def _selection_cases(draw):
             draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
             draw(st.sampled_from(["frs", "walign", "nmt"])),
         ),
-        draw(st.integers(1, 4)),
     )
 
 
 class TestAgainstPerHypothesisScoring:
-    @settings(max_examples=400)
+    @settings(max_examples=500)
     @given(_selection_cases())
-    def test_same_floats_as_frozen_path(self, case):
-        """sim, cxty_raw and total equal the old per-hypothesis path exactly,
-        for two sources scored one after the other against one table."""
-        table, kbest, reference, sources, config, max_ngram = case
-        for entry in kbest.entries:
-            assert smoothed_sentence_bleu(
-                entry.hypothesis, reference, max_ngram
-            ) == _frozen_bleu(entry.hypothesis, reference, max_ngram)
+    def test_same_floats_as_per_hypothesis_path(self, case):
+        """sim, cxty_raw and total equal each hypothesis scored on its own,
+        float for float, for two sources scored one after the other against
+        one table: ties, NULL winners and words in no row included."""
+        table, kbest, reference, sources, config = case
         for source in sources:
             if config.complexity_kind == "frs" and not all(
                 entry.hypothesis for entry in kbest.entries
             ):
                 with pytest.raises(ValueError):
-                    _frozen_scores(kbest, reference, source, config, table)
+                    _per_hypothesis_scores(kbest, reference, source, config, table)
                 with pytest.raises(ValueError):
                     score_hypotheses(kbest, reference, source, config, table)
                 continue
-            expected = _frozen_scores(kbest, reference, source, config, table)
+            expected = _per_hypothesis_scores(kbest, reference, source, config, table)
             scored = score_hypotheses(kbest, reference, source, config, table)
             assert [(h.sim, h.cxty_raw, h.total) for h in scored] == expected
-
-
-@st.composite
-def _walign_cases(draw):
-    """A table, a source and a k-best list. With ``unique``, every target
-    word sits in exactly one row, so each word has one possible link."""
-    unique = draw(st.booleans())
-    rows = {}
-    for x in [NULL_TOKEN] + _SOURCE_WORDS:
-        if draw(st.booleans()) or x == "s0":
-            rows[x] = {}
-    for y in _TARGET_WORDS[:4]:
-        for x in rows:
-            if draw(st.booleans()):
-                rows[x][y] = draw(_PROBS)
-                if unique:
-                    break
-    tokens = st.sampled_from(_TARGET_WORDS)
-    entries = draw(
-        st.lists(
-            st.builds(KBestEntry, st.lists(tokens, max_size=7).map(tuple), st.just(-1.0)),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    source = draw(st.lists(st.sampled_from(_SOURCE_WORDS + ["s8"]), max_size=5))
-    return TranslationTable(rows), KBestList(0, tuple(entries)), tuple(source)
-
-
-class TestFusedWordAlignmentScore:
-    @settings(max_examples=200)
-    @given(_walign_cases())
-    def test_equals_word_alignment_score_of_viterbi_alignment(self, case):
-        """walign's raw score is word_alignment_score of each hypothesis's
-        own Viterbi alignment, float for float: ties, NULL winners and
-        words in no row included."""
-        table, kbest, source = case
-        scored = score_hypotheses(kbest, ["t0"], source, SelectionConfig(0.5, "walign"), table)
-        for entry, hypothesis in zip(kbest.entries, scored):
-            pair = SentencePair(source, entry.hypothesis)
-            expected = word_alignment_score(pair, viterbi_align(pair, table), table)
-            assert hypothesis.cxty_raw == expected
