@@ -509,7 +509,3 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -286,8 +286,7 @@ def read_parallel_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
     target = read_token_lines(tgt_path)
     if len(source) != len(target):
         raise ValidationError(
-            f"line counts differ: {src_path} has {len(source)} lines, "
-            f"{tgt_path} has {len(target)} lines"
+            f"has {len(source)} lines, but {tgt_path} has {len(target)}", path=src_path
         )
     pairs = tuple(SentencePair(s, t) for s, t in zip(source, target))
     return ParallelCorpus(pairs)

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per numbered criterion.
 
-Each test is self-contained, rebuilds its own oracle or fixture from
-scratch, and asserts the documented tolerance. Runtime-bounded criteria
+Each test rebuilds its own oracle or fixture from scratch, or runs the
+CLI on the bundled data as ``bundled_runs`` lists, and asserts the
+documented tolerance or pinned bytes. Runtime-bounded criteria
 measure their own wall-clock time. A per-criterion verdict table is
 printed by conftest.py after the run.
 """
@@ -22,7 +23,6 @@ from distillens import (
     SelectionConfig,
     TokenPredictionRecord,
     attention_confidence,
-    bundled_data_dir,
     corpus_frs,
     expected_calibration_error,
     faithfulness,
@@ -35,6 +35,8 @@ from distillens import (
     viterbi_align,
 )
 from distillens.cli import run
+
+from bundled_runs import DIGESTS, argv, run_all
 
 
 def _alignment_from_map(source_indices):
@@ -305,101 +307,25 @@ def test_criterion_09_preorder_laws():
 
 def test_criterion_10_directional_complexity_deltas(tmp_path):
     """Distilled corpus: more monotone, less diverse, less faithful."""
-    data = bundled_data_dir()
-    out = tmp_path / "report.json"
     start = time.perf_counter()
-    code = run(
-        [
-            "report",
-            "--real-src", str(data / "real.src"),
-            "--real-tgt", str(data / "real.tgt"),
-            "--real-align", str(data / "real.aln"),
-            "--distilled-src", str(data / "distilled.src"),
-            "--distilled-tgt", str(data / "distilled.tgt"),
-            "--distilled-align", str(data / "distilled.aln"),
-            "--out", str(out),
-        ]
-    )
+    assert run(argv("report", tmp_path)) == 0
     elapsed = time.perf_counter() - start
-    assert code == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads((tmp_path / "report.json").read_text())
     real, distilled = payload["real"], payload["distilled"]
     assert distilled["frs"] > real["frs"]
     assert distilled["lexical_diversity"] < real["lexical_diversity"]
     assert real["faithfulness"] < distilled["faithfulness"]
     assert elapsed < 10.0
+    # EM on the bundled corpora reproduces their alignments byte for byte,
+    # so report without them writes the same bytes
+    assert run(argv("report em", tmp_path)) == 0
+    for ext in ("json", "csv"):
+        em = (tmp_path / f"report-em.{ext}").read_bytes()
+        assert em == (tmp_path / f"report.{ext}").read_bytes()
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    """Every subcommand yields byte-identical outputs across repeat runs."""
-    data = bundled_data_dir()
-    real_src = str(data / "real.src")
-    real_tgt = str(data / "real.tgt")
-    real_aln = str(data / "real.aln")
-
-    def argv_for(name, directory):
-        directory.mkdir()
-        if name == "align":
-            outputs = [directory / "out.aln", directory / "table.tsv"]
-            argv = [
-                "align", "--src", real_src, "--tgt", real_tgt, "--iters", "5",
-                "--out", str(outputs[0]), "--table", str(outputs[1]),
-            ]
-        elif name == "metrics":
-            outputs = [directory / "m.json", directory / "m.csv"]
-            argv = [
-                "metrics", "--src", real_src, "--tgt", real_tgt,
-                "--align", real_aln,
-                "--out", str(outputs[0]), "--csv", str(outputs[1]),
-            ]
-        elif name == "select":
-            outputs = [directory / "sel.txt", directory / "scores.csv"]
-            argv = [
-                "select", "--kbest", str(data / "demo.kbest"),
-                "--ref", str(data / "demo.ref"), "--src", real_src,
-                "--lambda", "0.5", "--cxty", "nmt",
-                "--out", str(outputs[0]), "--scores", str(outputs[1]),
-            ]
-        elif name == "preorder":
-            outputs = [directory / "p.src", directory / "p.aln"]
-            argv = [
-                "preorder", "--src", real_src, "--tgt", real_tgt,
-                "--align", real_aln,
-                "--out-src", str(outputs[0]), "--out-align", str(outputs[1]),
-            ]
-        elif name == "calibrate":
-            outputs = [directory / "cal.json"]
-            argv = [
-                "calibrate", "--preds", str(data / "demo.preds.jsonl"),
-                "--hyp", str(data / "demo.hyp"), "--ref", str(data / "demo.ref"),
-                "--out", str(outputs[0]),
-            ]
-        elif name == "attn":
-            outputs = [directory / "curve.csv"]
-            argv = [
-                "attn", "--attn", str(data / "demo.attn.jsonl"),
-                "--out", str(outputs[0]),
-            ]
-        else:
-            outputs = [directory / "r.json", directory / "r.csv"]
-            argv = [
-                "report",
-                "--real-src", real_src, "--real-tgt", real_tgt,
-                "--real-align", real_aln,
-                "--distilled-src", str(data / "distilled.src"),
-                "--distilled-tgt", str(data / "distilled.tgt"),
-                "--distilled-align", str(data / "distilled.aln"),
-                "--out", str(outputs[0]), "--csv", str(outputs[1]),
-            ]
-        return argv, outputs
-
-    subcommands = [
-        "align", "metrics", "select", "preorder", "calibrate", "attn", "report",
-    ]
-    for name in subcommands:
-        runs = []
-        for variant, extra in [("one", []), ("two", []), ("threads", ["--threads", "8"])]:
-            argv, outputs = argv_for(name, tmp_path / f"{name}_{variant}")
-            assert run(argv + extra) == 0
-            runs.append([path.read_bytes() for path in outputs])
-        assert runs[0] == runs[1] == runs[2], f"{name} output not deterministic"
+    """Every bundled-data run writes its pinned bytes, again and again, and
+    with --threads 8."""
+    for variant, extra in [("one", []), ("two", []), ("threads", ["--threads", "8"])]:
+        assert run_all(tmp_path / variant, *extra) == DIGESTS, variant

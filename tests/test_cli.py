@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
@@ -23,6 +22,21 @@ import distillens
 from distillens import FormatError, bundled_data_dir, confidence_by_iteration, read_attention
 from distillens.calibration import MAX_BINS
 from distillens.cli import run
+
+from bundled_runs import DIGESTS, argv, digest
+
+
+def _run_pinned(out, *names):
+    """Run each named entry of bundled_runs.RUNS into ``out``."""
+    for name in names:
+        assert run(argv(name, out)) == 0, name
+
+
+def _assert_pinned(out, *names):
+    """The named files in ``out`` have the digests bundled_runs pins."""
+    assert {name: digest((out / name).read_bytes()) for name in names} == {
+        name: DIGESTS[name] for name in names
+    }
 
 
 def _write(path, text):
@@ -63,11 +77,8 @@ class TestMainModule:
         )
 
     def test_attn_writes_what_run_writes(self, tmp_path):
-        attn = str(bundled_data_dir() / "demo.attn.jsonl")
-        result = self._main("attn", "--attn", attn, "--out", str(tmp_path / "main.csv"))
-        assert result.returncode == 0
-        assert run(["attn", "--attn", attn, "--out", str(tmp_path / "run.csv")]) == 0
-        assert (tmp_path / "main.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+        assert self._main(*argv("attn", tmp_path)).returncode == 0
+        assert digest((tmp_path / "attn.csv").read_bytes()) == DIGESTS["attn.csv"]
 
     def test_no_subcommand_exits_2(self):
         result = self._main()
@@ -657,37 +668,18 @@ class TestMetrics:
 
 class TestMetricsCsv:
     def test_metrics_cells_are_the_json_values(self, tmp_path):
-        data = bundled_data_dir()
-        out, csv_out = tmp_path / "m.json", tmp_path / "m.csv"
-        code = run(
-            ["metrics", "--src", str(data / "distilled.src"),
-             "--tgt", str(data / "distilled.tgt"),
-             "--align", str(data / "distilled.aln"),
-             "--real-src", str(data / "real.src"), "--real-tgt", str(data / "real.tgt"),
-             "--real-align", str(data / "real.aln"),
-             "--out", str(out), "--csv", str(csv_out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        header, row = _csv_rows(csv_out)
-        assert row[0] == str(data / "distilled.src")
+        words = argv("metrics", tmp_path)
+        assert run(words) == 0
+        payload = json.loads((tmp_path / "metrics.json").read_text())
+        header, row = _csv_rows(tmp_path / "metrics.csv")
+        assert row[0] == words[words.index("--src") + 1]
         assert all(isinstance(payload[column], float) for column in header[1:4])
         _assert_cells_match(row[1:], header[1:], payload)
 
     def test_report_cells_are_the_json_values(self, tmp_path):
-        data = bundled_data_dir()
-        out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
-        code = run(
-            ["report", "--real-src", str(data / "real.src"),
-             "--real-tgt", str(data / "real.tgt"), "--real-align", str(data / "real.aln"),
-             "--distilled-src", str(data / "distilled.src"),
-             "--distilled-tgt", str(data / "distilled.tgt"),
-             "--distilled-align", str(data / "distilled.aln"),
-             "--out", str(out), "--csv", str(csv_out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        header, *rows = _csv_rows(csv_out)
+        assert run(argv("report", tmp_path)) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        header, *rows = _csv_rows(tmp_path / "report.csv")
         assert [row[0] for row in rows] == ["real", "distilled"]
         for row in rows:
             _assert_cells_match(row[1:], header[1:], payload[row[0]])
@@ -704,18 +696,7 @@ class TestExtremeAlpha:
     )
     @pytest.mark.parametrize("command", ["metrics", "report"])
     def test_exits_1_and_writes_nothing(self, tmp_path, capsys, command, alpha, fault):
-        data = bundled_data_dir()
-        real = ["--real-src", str(data / "real.src"), "--real-tgt", str(data / "real.tgt"),
-                "--real-align", str(data / "real.aln")]
-        distilled = [str(data / f"distilled.{ext}") for ext in ("src", "tgt", "aln")]
-        if command == "metrics":
-            flags = ["--src", "--tgt", "--align"]
-        else:
-            flags = ["--distilled-src", "--distilled-tgt", "--distilled-align"]
-        argv = [command, *real, *(word for pair in zip(flags, distilled) for word in pair),
-                "--alpha", alpha, "--out", str(tmp_path / "o.json"),
-                "--csv", str(tmp_path / "o.csv")]
-        assert run(argv) == 1
+        assert run(argv(command, tmp_path, "--alpha", alpha)) == 1
         assert capsys.readouterr().err == (
             f"distillens: smoothing constant {float(alpha)} is {fault}\n"
         )
@@ -779,15 +760,8 @@ class TestSelect:
         assert len(selected) == 1 and selected[0][8] == "x y"
 
     def test_score_floats_read_back_exactly(self, tmp_path):
-        data = bundled_data_dir()
-        scores = tmp_path / "scores.csv"
-        code = run(
-            ["select", "--kbest", str(data / "demo.kbest"), "--ref", str(data / "demo.ref"),
-             "--src", str(data / "demo.hyp"), "--lambda", "0.3", "--cxty", "nmt",
-             "--out", str(tmp_path / "sel.txt"), "--scores", str(scores)]
-        )
-        assert code == 0
-        header, *rows = _csv_rows(scores)
+        assert run(argv("select nmt", tmp_path)) == 0
+        header, *rows = _csv_rows(tmp_path / "nmt.csv")
         assert header[2:7] == ["sim", "sim_norm", "cxty_raw", "cxty_norm", "total"]
         assert rows
         for row in rows:
@@ -866,41 +840,14 @@ class TestSelect:
         assert "No such file or directory: ''" in capsys.readouterr().err
         assert not out.exists()
 
-    # sha256 of the table `align` trains on the bundled real corpus, and of
-    # `select`'s --out and --scores for each --cxty on the bundled k-best
-    # list. A speed-up must not move a byte; a change that means to moves
-    # them here and says why.
-    PINNED = {
-        "table.tsv": "be1f305b07d60be34b90e8fae685dd6f92cddec12eb5ff6579950cf6bd523ef0",
-        "frs.out": "55c63858e688a60e0f1624495bcd20a46ba810e95a2d196788cbb331ed8da0b8",
-        "frs.csv": "2cff4b8f586b6fffd1d54653fe475199c90640bf3d15128388ca8a2f4f86722b",
-        "walign.out": "733e9e3d490a40879a897c2e7dac3a874d0aafd5c4ae913135d480035ae8d619",
-        "walign.csv": "29aae72bdb8fdbcf76e935ff6ade3291e0c70401ab6262b13361384e69392aa4",
-        "nmt.out": "55c63858e688a60e0f1624495bcd20a46ba810e95a2d196788cbb331ed8da0b8",
-        "nmt.csv": "8e1a8e476f19f4ba9cbafa68ee244d3bd9173879f354dfedf4d6f14111feeff3",
-    }
-
     def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
-        data = bundled_data_dir()
-        table = str(tmp_path / "table.tsv")
-        code = run(
-            ["align", "--src", str(data / "real.src"), "--tgt", str(data / "real.tgt"),
-             "--out", str(tmp_path / "real.aln"), "--table", table]
-        )
-        assert code == 0
-        for kind in ("frs", "walign", "nmt"):
-            code = run(
-                ["select", "--kbest", str(data / "demo.kbest"), "--ref", str(data / "demo.ref"),
-                 "--src", str(data / "real.src"), "--cxty", kind, "--table", table,
-                 "--out", str(tmp_path / f"{kind}.out"),
-                 "--scores", str(tmp_path / f"{kind}.csv")]
-            )
-            assert code == 0
+        """align's table, and select's --out and --scores for each --cxty,
+        hold the digests of bundled_runs on their own."""
+        _run_pinned(tmp_path, "align", "select frs", "select walign", "select nmt")
         capsys.readouterr()
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
-        }
-        assert digests == self.PINNED
+        _assert_pinned(tmp_path, "table.tsv", *(
+            f"{kind}.{ext}" for kind in ("frs", "walign", "nmt") for ext in ("out", "csv")
+        ))
 
 
 class TestPreorder:
@@ -1024,36 +971,18 @@ class TestCalibrate:
         argv = ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref, "--out", str(out)]
         assert run(argv) == 1
         assert capsys.readouterr().err == (
-            f"distillens: line counts differ: {hyp} has 2 lines, {ref} has 1 lines\n"
+            f"distillens: {hyp}: has 2 lines, but {ref} has 1\n"
         )
         assert not out.exists()
 
-    # sha256 of `calibrate` on the bundled predictions, whose correct flags
-    # all come from token_accuracy, and of `attn` on the bundled attention
-    # export. A speed-up must not move a byte; a change that means to
-    # moves them here and says why.
-    PINNED = {
-        "calibrate.json": "fe350268d94afab620031656e1a0324e0ff4962f45f25d0e85604714f3a7dc83",
-        "attn.csv": "4e6c94508de84fd8b84f7a49dae3a4249a35a9ab93dcf7e61bf40ddf47a9e36f",
-    }
-
     def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
-        data = bundled_data_dir()
-        code = run(
-            ["calibrate", "--preds", str(data / "demo.preds.jsonl"),
-             "--hyp", str(data / "demo.hyp"), "--ref", str(data / "demo.ref"),
-             "--out", str(tmp_path / "calibrate.json")]
-        )
-        assert code == 0
+        """calibrate on the bundled predictions, whose correct flags all come
+        from token_accuracy, and attn on the bundled export hold the digests
+        of bundled_runs on their own."""
+        _run_pinned(tmp_path, "calibrate")
         assert capsys.readouterr().err == "accuracy 82.22% confidence 65.80% ece 18.28%\n"
-        code = run(
-            ["attn", "--attn", str(data / "demo.attn.jsonl"), "--out", str(tmp_path / "attn.csv")]
-        )
-        assert code == 0
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED
-        }
-        assert digests == self.PINNED
+        _run_pinned(tmp_path, "attn")
+        _assert_pinned(tmp_path, "calibrate.json", "attn.csv")
 
     def test_hyp_requires_ref(self, tmp_path, capsys):
         preds = self._preds(tmp_path)
@@ -1461,40 +1390,11 @@ class TestDrawnInputs:
             assert all(math.isfinite(float(row[1])) for row in rows)
 
 
-# bundled-data runs whose outputs could follow str hash order, in the
-# order they run (select reads align's table); {D} is the data directory
-# and {O} the output one
-_HASH_SEED_RUNS = {
-    "align": "align --src {D}/real.src --tgt {D}/real.tgt --iters 5 "
-             "--out {O}/a.aln --table {O}/t.tsv",
-    "metrics": "metrics --src {D}/distilled.src --tgt {D}/distilled.tgt --align {D}/distilled.aln "
-               "--real-src {D}/real.src --real-tgt {D}/real.tgt --real-align {D}/real.aln "
-               "--out {O}/m.json --csv {O}/m.csv",
-    "select walign": "select --kbest {D}/demo.kbest --ref {D}/demo.ref --src {D}/real.src "
-                     "--cxty walign --table {O}/t.tsv --out {O}/w.txt --scores {O}/w.csv",
-    "select frs": "select --kbest {D}/demo.kbest --ref {D}/demo.ref --src {D}/real.src "
-                  "--cxty frs --table {O}/t.tsv --out {O}/f.txt --scores {O}/f.csv",
-    "preorder": "preorder --src {D}/real.src --tgt {D}/real.tgt --align {D}/real.aln "
-                "--out-src {O}/p.src --out-align {O}/p.aln",
-    "calibrate": "calibrate --preds {D}/demo.preds.jsonl --hyp {D}/demo.hyp --ref {D}/demo.ref "
-                 "--out {O}/c.json",
-    "attn": "attn --attn {D}/demo.attn.jsonl --out {O}/curve.csv",
-    "report": "report --real-src {D}/real.src --real-tgt {D}/real.tgt "
-              "--distilled-src {D}/distilled.src --distilled-tgt {D}/distilled.tgt "
-              "--iters 5 --out {O}/r.json --csv {O}/r.csv",
-}
-
-# runs each argv of the JSON object in argv[1] through cli.run and prints
-# each one's exit code and stderr
-_HASH_SEED_CHILD = """
-import contextlib, io, json, sys
-from distillens.cli import run
-results = {}
-for name, argv in json.loads(sys.argv[1]).items():
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        results[name] = [run(argv), err.getvalue()]
-print(json.dumps(results))
-"""
+# runs the bundled-data table into the directory argv[1] and prints the
+# digests of what it wrote
+_HASH_SEED_CHILD = (
+    "import json, sys; from bundled_runs import run_all; print(json.dumps(run_all(sys.argv[1])))"
+)
 
 
 class TestHashSeed:
@@ -1502,25 +1402,12 @@ class TestHashSeed:
     followed it would still match; runs under two hash seeds would not."""
 
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
-        data = str(bundled_data_dir())
-        package_root = str(Path(distillens.__file__).parent.parent)
-        seen = []
+        paths = [str(Path(distillens.__file__).parent.parent), str(Path(__file__).parent)]
         for seed in ("1", "2"):
-            out = tmp_path / seed
-            out.mkdir()
-            runs = {
-                name: [word.format(D=data, O=out) for word in template.split()]
-                for name, template in _HASH_SEED_RUNS.items()
-            }
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(paths)}
             result = subprocess.run(
-                [sys.executable, "-c", _HASH_SEED_CHILD, json.dumps(runs)],
-                env=env, capture_output=True, text=True, check=True,
+                [sys.executable, "-c", _HASH_SEED_CHILD, str(tmp_path / seed)],
+                env=env, capture_output=True, text=True,
             )
-            results = json.loads(result.stdout)
-            assert [code for code, _ in results.values()] == [0] * len(runs)
-            assert all(results[name][1] for name in ("align", "calibrate", "report"))
-            outputs = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-            seen.append((outputs, results))
-        assert len(seen[0][0]) == 14
-        assert seen[0] == seen[1]
+            assert result.returncode == 0, result.stderr
+            assert json.loads(result.stdout) == DIGESTS, seed

@@ -3,8 +3,8 @@
 Every run of a subcommand ends one of two ways. It exits 0, and every
 JSON output parses and no output holds a NaN or infinite cell; or it
 exits 1 or 2, with a last stderr line that starts with ``distillens: ``
-and names one of the run's input files, no traceback and no output
-file. Each variant changes one input file once: a line dropped,
+and one of the run's input paths followed by ``: ``, no traceback and no
+output file. Each variant changes one input file once: a line dropped,
 duplicated or blanked, a byte that is not UTF-8, a number replaced by
 ``nan``, ``inf``, ``1e400`` or ``-1``, a stray tab, or in a JSON-lines
 file one member of a record copied to the end of its object. Where in the
@@ -193,7 +193,7 @@ def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
         elif code not in (1, 2):
             faults.append(f"{case}: exit {code}")
         else:
-            if not (last.startswith("distillens: ") and any(p in last for p in paths.values())):
+            if not any(last.startswith(f"distillens: {p}: ") for p in paths.values()):
                 faults.append(f"{case}: exit {code} with {last!r}")
             if any(out.iterdir()):
                 faults.append(f"{case}: exit {code} left {sorted(p.name for p in out.iterdir())}")

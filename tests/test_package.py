@@ -7,6 +7,7 @@ import importlib
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import distillens
+
+from bundled_runs import DIGESTS
 
 PUBLIC_NAMES = {
     "__version__", "bundled_data_dir",
@@ -237,3 +240,11 @@ def test_bundled_data_is_what_its_generator_writes(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(bundled))
     for name in os.listdir(bundled):
         assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
+
+
+def test_ci_checks_the_installed_attn_against_the_pin():
+    """CI runs the installed package's attn on the bundled export and checks
+    its sha256; that digest is the one the tests pin."""
+    workflow = Path(distillens.__file__).parents[2] / ".github" / "workflows" / "tests.yml"
+    checks = re.findall(r'echo "([0-9a-f]{64})  attn\.csv" \| sha256sum -c -', workflow.read_text())
+    assert checks == [DIGESTS["attn.csv"]]
