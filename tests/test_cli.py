@@ -1,4 +1,12 @@
-"""End-to-end subcommand behaviour through the public entry point."""
+"""End-to-end subcommand behaviour through the public entry point.
+
+A run the CLI refuses exits 1 or 2 with a message on stderr, and leaves
+every path it could reach as it was: no output is written and no input
+is touched. Each refusal test writes its run as words over the
+placeholders of the ``files`` fixture, runs it through ``_refused``,
+which checks the exit code and that no path changed, and checks the
+message itself.
+"""
 
 import contextlib
 import csv
@@ -67,6 +75,65 @@ def corpus_files(tmp_path):
     return src, tgt, aln
 
 
+_ATTN = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": %s}\n'
+_ATTN_HEAD_1 = _ATTN.replace('"head": 0', '"head": 1')
+_PRED = '{"sentence_id": 0, "position": 0, "token": "a", "probability": %s}\n'
+
+
+@pytest.fixture
+def files(tmp_path, corpus_files):
+    """The placeholder words of a run, each mapped to a path in tmp_path.
+
+    S, T and A are `corpus_files`. K, TSV, P and J are a k-best list, a
+    table, predictions and attention that runs over S and T accept, each
+    at least two lines long; P flags the tokens of S's first line, so
+    calibrate needs no --hyp/--ref. E.* are empty; N.aln is a blank line
+    per pair of S and T; L.src / L.tgt is a one-pair corpus that EM leaves
+    unlinked, since NULL wins its tie with "a". OUT, OUT2 and BAD are
+    paths that do not exist yet, and '' is the empty path.
+    """
+    src, tgt, aln = corpus_files
+    pred = ('{"sentence_id": 0, "position": %d, "token": "%s", "probability": 0.5, '
+            '"correct": true}\n')
+    texts = {
+        "K": "0 ||| x y ||| -1.0\n1 ||| x ||| -1.0\n2 ||| y ||| -1.0\n",
+        "TSV": "a\tx\t1.0\nb\ty\t1.0\n",
+        "P": pred % (0, "a") + pred % (1, "b"),
+        "J": _ATTN % "[[1.0]]" + _ATTN_HEAD_1 % "[[1.0]]",
+        "N.aln": "\n\n\n",
+        "L.src": "a\n",
+        "L.tgt": "x\n",
+        **{f"E.{ext}": "" for ext in ("src", "tgt", "aln", "jsonl")},
+    }
+    return {
+        "S": src, "T": tgt, "A": aln, "''": "",
+        "OUT": str(tmp_path / "out"), "OUT2": str(tmp_path / "out2"), "BAD": str(tmp_path / "bad"),
+        **{word: _write(tmp_path / word, text) for word, text in texts.items()},
+    }
+
+
+def _snapshot(root):
+    """Every path under ``root``, each regular file with its bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in Path(root).rglob("*")}
+
+
+def _argv(words, files):
+    """The space-separated ``words``, each placeholder replaced by its path."""
+    return [files.get(word, word) for word in words.split()]
+
+
+def _refused(words, files, code):
+    """Run ``words`` over ``files``, assert that it exits ``code`` and
+    leaves every path under the directory of OUT as it was, and return
+    its stderr."""
+    root = Path(files["OUT"]).parent
+    before = _snapshot(root)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(_argv(words, files)) == code, err.getvalue()
+    assert _snapshot(root) == before
+    return err.getvalue()
+
+
 class TestMainModule:
     """``python -m distillens`` runs ``cli.main`` in a fresh interpreter."""
 
@@ -87,114 +154,85 @@ class TestMainModule:
 
 
 class TestExitCodes:
-    def test_unknown_subcommand(self, capsys):
-        assert run(["frobnicate"]) == 2
-        assert "usage" in capsys.readouterr().err
+    def test_unknown_subcommand(self, files):
+        assert "usage" in _refused("frobnicate", files, 2)
 
-    def test_missing_required_flag(self, capsys):
-        assert run(["select"]) == 2
-        capsys.readouterr()
+    def test_missing_required_flag(self, files):
+        assert _refused("select", files, 2).endswith(
+            "error: the following arguments are required: --src, --kbest, --ref, --cxty, --out\n"
+        )
 
-    def test_no_subcommand(self, capsys):
-        assert run([]) == 2
-        capsys.readouterr()
+    def test_no_subcommand(self, files):
+        assert _refused("", files, 2).endswith(
+            "error: the following arguments are required: command\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "align" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["align", "--src", "s", "--tgt", "t", "--out", "o", "--iters"],
-            ["calibrate", "--preds", "p", "--out", "o", "--bins"],
-            ["attn", "--attn", "a", "--out", "o", "--threads"],
-        ],
+        "words",
+        ["align --src S --tgt T --out OUT --iters",
+         "calibrate --preds P --out OUT --bins",
+         "attn --attn J --out OUT --threads"],
+        ids=["argv0", "argv1", "argv2"],
     )
-    def test_count_flags_name_the_bad_value(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        assert run(argv + ["x"]) == 2
-        err = capsys.readouterr().err
-        assert f"argument {argv[-1]}: expected an integer, got 'x'" in err
+    def test_count_flags_name_the_bad_value(self, files, words):
+        flag = words.split()[-1]
+        err = _refused(f"{words} x", files, 2)
+        assert f"argument {flag}: expected an integer, got 'x'" in err
         assert "invalid" not in err
-        assert run(argv + ["0"]) == 2
-        assert f"argument {argv[-1]}: must be >= 1, got 0" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert f"argument {flag}: must be >= 1, got 0" in _refused(f"{words} 0", files, 2)
 
-    def test_missing_input_file_is_io_error(self, tmp_path, capsys):
-        out = str(tmp_path / "curve.csv")
-        assert run(["attn", "--attn", str(tmp_path / "nope"), "--out", out]) == 2
-        capsys.readouterr()
-
-    def test_domain_error_names_file(self, tmp_path, capsys):
-        src = _write(tmp_path / "s", "a\nb\n")
-        tgt = _write(tmp_path / "t", "x\n")
-        out = str(tmp_path / "o.json")
-        aln = _write(tmp_path / "a.aln", "0-0\n")
-        assert run(["metrics", "--src", src, "--tgt", tgt, "--align", aln, "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert "2" in err and "1" in err
-
-    def test_conditional_flag_requirements(self, tmp_path, capsys, corpus_files):
-        src, tgt, aln = corpus_files
-        kbest = _write(tmp_path / "k", "0 ||| x y ||| -1.0\n")
-        out = str(tmp_path / "sel.txt")
-        code = run(
-            ["select", "--kbest", kbest, "--ref", tgt, "--src", src,
-             "--cxty", "frs", "--out", out]
+    def test_missing_input_file_is_io_error(self, files):
+        assert _refused("attn --attn BAD --out OUT", files, 2) == (
+            f"distillens: [Errno 2] No such file or directory: {files['BAD']!r}\n"
         )
-        assert code == 2
-        code = run(
-            ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
-             "--real-src", src, "--out", str(tmp_path / "m.json")]
+
+    def test_domain_error_names_file(self, files):
+        _write(files["BAD"], "a\nb\n")
+        assert _refused("metrics --src BAD --tgt L.tgt --align A --out OUT", files, 1) == (
+            f"distillens: {files['BAD']}: has 2 lines, but {files['L.tgt']} has 1\n"
         )
-        assert code == 2
-        capsys.readouterr()
+
+    def test_conditional_flag_requirements(self, files):
+        for words, message in [
+            ("select --kbest K --ref T --src S --cxty frs --out OUT",
+             "--cxty frs requires --table"),
+            ("metrics --src S --tgt T --align A --real-src S --out OUT",
+             "--real-src, --real-tgt and --real-align must be given together"),
+        ]:
+            assert _refused(words, files, 2).endswith(f"error: {message}\n")
 
 
-# each non-finite or out-of-range input and the stderr text that must name it
+_TABLE_RUN = "select --kbest K --ref T --src S --cxty frs --table BAD --out OUT"
+
+# each non-finite or out-of-range input: a run, the text of BAD (None when
+# the run reads no BAD) and the message the run must print
 _NON_FINITE = {
-    "metrics-alpha": "smoothing constant",
-    "kbest-logprob": "k: line 1: ",
-    "attn-weight": "a.jsonl: line 1: ",
-    "table-nan": "t.tsv: line 1: ",
-    "table-inf": "t.tsv: line 1: ",
-    "table-7": "t.tsv: line 1: probability must be <= 1, got 7",
+    "metrics-alpha": ("metrics --src S --tgt T --align A --alpha nan --out OUT", None,
+                      "smoothing constant must be finite and > 0, got nan"),
+    "kbest-logprob": ("select --kbest BAD --ref T --src S --cxty nmt --out OUT --scores OUT2",
+                      "0 ||| x ||| nan\n",
+                      "{BAD}: line 1: log probability must be finite and <= 0, got nan"),
+    "attn-weight": ("attn --attn BAD --out OUT", _ATTN % "[[1.0, NaN]]",
+                    "{BAD}: line 1: attention weight nan must be finite and >= 0"),
+    "table-nan": (_TABLE_RUN, "a\tx\tnan\n",
+                  "{BAD}: line 1: probability must be finite and >= 0, got nan"),
+    "table-inf": (_TABLE_RUN, "a\tx\tinf\n",
+                  "{BAD}: line 1: probability must be finite and >= 0, got inf"),
+    "table-7": (_TABLE_RUN, "a\tx\t7\n", "{BAD}: line 1: probability must be <= 1, got 7"),
 }
 
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("case", sorted(_NON_FINITE))
-    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, case):
-        src, tgt, aln = corpus_files
-        out = str(tmp_path / "out")
-        select = ["select", "--ref", tgt, "--src", src, "--out", out]
-        if case == "metrics-alpha":
-            argv = ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
-                    "--alpha", "nan", "--out", out]
-        elif case == "kbest-logprob":
-            kbest = _write(tmp_path / "k", "0 ||| x ||| nan\n")
-            argv = select + ["--kbest", kbest, "--cxty", "nmt",
-                             "--scores", str(tmp_path / "scores.csv")]
-        elif case == "attn-weight":
-            attn = _write(
-                tmp_path / "a.jsonl",
-                '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, NaN]]}\n',
-            )
-            argv = ["attn", "--attn", attn, "--out", out]
-        else:
-            table = _write(tmp_path / "t.tsv", f"a\tx\t{case.split('-')[1]}\n")
-            kbest = _write(tmp_path / "k", "0 ||| x ||| -1.0\n")
-            argv = select + ["--kbest", kbest, "--cxty", "frs", "--table", table]
-        inputs = set(tmp_path.iterdir())
-        assert run(argv) == 1
-        assert _NON_FINITE[case] in capsys.readouterr().err
-        assert set(tmp_path.iterdir()) == inputs
-
-
-_ATTN = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": %s}\n'
-_ATTN_HEAD_1 = _ATTN.replace('"head": 0', '"head": 1')
-_PRED = '{"sentence_id": 0, "position": 0, "token": "a", "probability": %s}\n'
+    def test_rejected_with_no_output(self, files, case):
+        words, text, message = _NON_FINITE[case]
+        if text is not None:
+            _write(files["BAD"], text)
+        assert _refused(words, files, 1) == f"distillens: {message.format(BAD=files['BAD'])}\n"
 
 
 class TestOversizedJson:
@@ -212,13 +250,11 @@ class TestOversizedJson:
         ids=["weight-401-digits", "probability-401-digits",
              "probability-5001-digits", "nested-100k-deep"],
     )
-    def test_rejected_with_no_output(self, tmp_path, capsys, subcommand, line):
-        path = _write(tmp_path / "in.jsonl", line)
+    def test_rejected_with_no_output(self, files, subcommand, line):
+        _write(files["BAD"], line)
         flag = "--attn" if subcommand == "attn" else "--preds"
-        inputs = set(tmp_path.iterdir())
-        assert run([subcommand, flag, path, "--out", str(tmp_path / "out")]) == 1
-        assert "in.jsonl: line 1: " in capsys.readouterr().err
-        assert set(tmp_path.iterdir()) == inputs
+        err = _refused(f"{subcommand} {flag} BAD --out OUT", files, 1)
+        assert err.startswith(f"distillens: {files['BAD']}: line 1: ")
 
 
 # a second Pharaoh line that does not fit pair 2 of `corpus_files` ("a" / "x"),
@@ -229,6 +265,16 @@ _BAD_LINE_2 = {
     "superscript-digit": ("\u00b2-1", "malformed alignment link"),
     "arabic-indic-digit": ("\u0663-0", "malformed alignment link"),
     "5000-digit-index": ("1" * 5000 + "-0", "malformed alignment link"),
+}
+
+# a run that reads BAD by each alignment flag
+_ALIGNMENT_RUNS = {
+    "metrics --align": "metrics --src S --tgt T --align BAD --out OUT",
+    "metrics --real-align": "metrics --src S --tgt T --align A "
+                            "--real-src S --real-tgt T --real-align BAD --out OUT",
+    "preorder --align": "preorder --src S --tgt T --align BAD --out-src OUT --out-align OUT2",
+    "report --distilled-align": "report --real-src S --real-tgt T --distilled-src S "
+                                "--distilled-tgt T --real-align A --distilled-align BAD --out OUT",
 }
 
 
@@ -247,103 +293,49 @@ class TestAlignmentJoin:
         + [("preorder --align", bad) for bad in
            ("superscript-digit", "arabic-indic-digit", "5000-digit-index")],
     )
-    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, flag, bad):
-        src, tgt, aln = corpus_files
+    def test_rejected_with_no_output(self, files, flag, bad):
         line, error = _BAD_LINE_2[bad]
-        bad_aln = _write(tmp_path / "bad.aln", f"0-0 1-1\n{line}\n0-0\n")
-        out = str(tmp_path / "out")
-        argv = {
-            "metrics --align": ["metrics", "--src", src, "--tgt", tgt, "--align", bad_aln,
-                                "--out", out],
-            "metrics --real-align": ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
-                                     "--real-src", src, "--real-tgt", tgt,
-                                     "--real-align", bad_aln, "--out", out],
-            "preorder --align": ["preorder", "--src", src, "--tgt", tgt, "--align", bad_aln,
-                                 "--out-src", out, "--out-align", out + ".aln"],
-            "report --distilled-align": ["report", "--real-src", src, "--real-tgt", tgt,
-                                         "--distilled-src", src, "--distilled-tgt", tgt,
-                                         "--real-align", aln, "--distilled-align", bad_aln,
-                                         "--out", out],
-        }[flag]
-        inputs = set(tmp_path.iterdir())
-        assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert f"{bad_aln}: line 2: " in err and error in err
-        assert set(tmp_path.iterdir()) == inputs
+        _write(files["BAD"], f"0-0 1-1\n{line}\n0-0\n")
+        err = _refused(_ALIGNMENT_RUNS[flag], files, 1)
+        assert err.startswith(f"distillens: {files['BAD']}: line 2: ") and error in err
 
 
-# each subcommand's input flags, and the rest of a run that succeeds on
-# `utf8_inputs`; OUT stands for an output path
+# a run of each subcommand that succeeds on `files`
 _RUNS = {
-    "align": (["--src", "--tgt"], ["--out", "OUT", "--table", "OUT.tsv"]),
-    "metrics": (["--src", "--tgt", "--align"], ["--out", "OUT"]),
-    "select": (
-        ["--kbest", "--ref", "--src", "--table"],
-        ["--cxty", "frs", "--out", "OUT", "--scores", "OUT.csv"],
-    ),
-    "preorder": (["--src", "--tgt", "--align"], ["--out-src", "OUT", "--out-align", "OUT.aln"]),
-    "calibrate": (["--preds", "--hyp", "--ref"], ["--out", "OUT"]),
-    "attn": (["--attn"], ["--out", "OUT"]),
+    "align": "align --src S --tgt T --out OUT --table OUT2",
+    "metrics": "metrics --src S --tgt T --align A --out OUT",
+    "select": "select --kbest K --ref T --src S --table TSV --cxty frs --out OUT --scores OUT2",
+    "preorder": "preorder --src S --tgt T --align A --out-src OUT --out-align OUT2",
+    "calibrate": "calibrate --preds P --hyp S --ref T --out OUT",
+    "attn": "attn --attn J --out OUT",
 }
-
-
-@pytest.fixture
-def utf8_inputs(tmp_path, corpus_files):
-    """A valid file for every input flag, each at least two lines long."""
-    src, tgt, aln = corpus_files
-    pred = '{"sentence_id": 0, "position": %d, "token": "%s", "probability": 0.5}\n'
-    return {
-        "--src": src,
-        "--tgt": tgt,
-        "--align": aln,
-        "--ref": tgt,
-        "--hyp": src,
-        "--kbest": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -0.5\n"),
-        "--table": _write(tmp_path / "t.tsv", "a\tx\t1.0\nb\ty\t1.0\n"),
-        "--preds": _write(tmp_path / "p.jsonl", pred % (0, "a") + pred % (1, "b")),
-        "--attn": _write(tmp_path / "a.jsonl", _ATTN % "[[1.0]]" + _ATTN_HEAD_1 % "[[1.0]]"),
-    }
-
-
-def _argv(subcommand, files, out):
-    flags, rest = _RUNS[subcommand]
-    return (
-        [subcommand]
-        + [arg for flag in flags for arg in (flag, files[flag])]
-        + [arg.replace("OUT", out) for arg in rest]
-    )
 
 
 class TestUndecodableInput:
     """A byte that is not UTF-8 is a format error naming the file and the
     line, whichever flag the file came in by."""
 
-    @pytest.mark.parametrize(
-        "subcommand, flag",
-        [(subcommand, flag) for subcommand, (flags, _) in _RUNS.items() for flag in flags],
-        ids=[f"{subcommand} {flag}" for subcommand, (flags, _) in _RUNS.items() for flag in flags],
-    )
-    def test_rejected_with_no_output(self, tmp_path, capsys, utf8_inputs, subcommand, flag):
-        with open(utf8_inputs[flag], "rb") as fh:
-            first, rest = fh.read().split(b"\n", 1)
-        bad = tmp_path / "bad"
-        bad.write_bytes(first + b"\n\xff" + rest)
-        out = str(tmp_path / "out")
-        inputs = set(tmp_path.iterdir())
-        assert run(_argv(subcommand, {**utf8_inputs, flag: str(bad)}, out)) == 1
-        assert capsys.readouterr().err == f"distillens: {bad}: line 2: not valid UTF-8\n"
-        assert set(tmp_path.iterdir()) == inputs
-        assert run(_argv(subcommand, utf8_inputs, out)) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("case", [
+        f"{words[0]} {flag}" for words in map(str.split, _RUNS.values())
+        for flag, word in zip(words[1::2], words[2::2]) if word in "S T A K TSV P J".split()
+    ])
+    def test_rejected_with_no_output(self, files, case):
+        subcommand, flag = case.split()
+        words = _RUNS[subcommand].split()
+        at = words.index(flag) + 1
+        first, rest = Path(files[words[at]]).read_bytes().split(b"\n", 1)
+        Path(files["BAD"]).write_bytes(first + b"\n\xff" + rest)
+        assert run(_argv(_RUNS[subcommand], files)) == 0
+        words[at] = "BAD"
+        assert _refused(" ".join(words), files, 1) == (
+            f"distillens: {files['BAD']}: line 2: not valid UTF-8\n"
+        )
 
-    def test_carriage_return_ends_a_line(self, tmp_path, capsys, utf8_inputs):
-        bad = tmp_path / "bad"
-        bad.write_bytes(b"a\rb\xff\n")
-        out = str(tmp_path / "out")
-        inputs = set(tmp_path.iterdir())
-        assert run(_argv("align", {**utf8_inputs, "--src": str(bad)}, out)) == 1
-        assert capsys.readouterr().err == f"distillens: {bad}: line 2: not valid UTF-8\n"
-        assert set(tmp_path.iterdir()) == inputs
+    def test_carriage_return_ends_a_line(self, files):
+        Path(files["BAD"]).write_bytes(b"a\rb\xff\n")
+        assert _refused("align --src BAD --tgt T --out OUT --table OUT2", files, 1) == (
+            f"distillens: {files['BAD']}: line 2: not valid UTF-8\n"
+        )
 
 
 # runs in which one input holds no records; E.* are empty files, and the
@@ -369,25 +361,16 @@ class TestEmptyInput:
     """An input that holds no records is a one-line error naming its file."""
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_RUNS))
-    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, case):
-        src, tgt, aln = corpus_files
-        files = {"S": src, "T": tgt, "A": aln, "OUT": str(tmp_path / "out")}
-        for name in ("E.src", "E.tgt", "E.aln", "E.jsonl"):
-            files[name] = _write(tmp_path / name, "")
-        words = _EMPTY_RUNS[case].split()
-        empty = files[next(word for word in words if word.startswith("E."))]
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words]) == 1
-        err = capsys.readouterr().err
+    def test_rejected_with_no_output(self, files, case):
+        words = _EMPTY_RUNS[case]
+        empty = files[next(word for word in words.split() if word.startswith("E."))]
+        err = _refused(words, files, 1)
         assert err.startswith(f"distillens: {empty}: holds no ")
         assert err.count("\n") == 1
-        assert set(tmp_path.iterdir()) == inputs
 
 
-# runs in which one corpus's alignments hold no link: N.aln is a blank
-# line per pair of `corpus_files`, and EM leaves the one-pair corpus
-# L.src / L.tgt unlinked, since NULL wins its tie with "a"; the value is
-# the file the error must name
+# runs in which one corpus's alignments hold no link (N.aln), or in which
+# EM links nothing (L.src / L.tgt); the value is the file the error must name
 _LINKLESS_RUNS = {
     "metrics": ("metrics --src S --tgt T --align N.aln --out OUT", "N.aln"),
     "metrics-real": ("metrics --src S --tgt T --align A "
@@ -409,18 +392,10 @@ class TestLinklessAlignments:
     names the alignment file, or the source file EM trained on."""
 
     @pytest.mark.parametrize("case", sorted(_LINKLESS_RUNS))
-    def test_rejected_with_no_output(self, tmp_path, capsys, corpus_files, case):
-        src, tgt, aln = corpus_files
-        files = {"S": src, "T": tgt, "A": aln, "OUT": str(tmp_path / "out"),
-                 "N.aln": _write(tmp_path / "N.aln", "\n\n\n"),
-                 "L.src": _write(tmp_path / "L.src", "a\n"),
-                 "L.tgt": _write(tmp_path / "L.tgt", "x\n")}
+    def test_rejected_with_no_output(self, files, case):
         words, named = _LINKLESS_RUNS[case]
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words.split()]) == 1
-        err = capsys.readouterr().err
+        err = _refused(words, files, 1)
         assert err.splitlines()[-1] == f"distillens: {files[named]}: holds no alignment links"
-        assert set(tmp_path.iterdir()) == inputs
 
 
 # every output flag, given the empty path; the other outputs of the run
@@ -430,8 +405,8 @@ _EMPTY_OUTPUT_RUNS = {
     "align --table": "align --src S --tgt T --out OUT --table ''",
     "metrics --out": "metrics --src S --tgt T --align A --out '' --csv OUT2",
     "metrics --csv": "metrics --src S --tgt T --align A --out OUT --csv ''",
-    "select --out": "select --kbest K --ref R --src S --cxty nmt --out '' --scores OUT2",
-    "select --scores": "select --kbest K --ref R --src S --cxty nmt --out OUT --scores ''",
+    "select --out": "select --kbest K --ref T --src S --cxty nmt --out '' --scores OUT2",
+    "select --scores": "select --kbest K --ref T --src S --cxty nmt --out OUT --scores ''",
     "preorder --out-src": "preorder --src S --tgt T --align A --out-src '' --out-align OUT2",
     "preorder --out-align": "preorder --src S --tgt T --align A --out-src OUT --out-align ''",
     "calibrate --out": "calibrate --preds P --out ''",
@@ -455,60 +430,37 @@ _EMPTY_INPUT_RUNS = {
 }
 
 
-@pytest.fixture
-def files(tmp_path, corpus_files):
-    """The words of the run tables above, mapped to paths."""
-    src, tgt, aln = corpus_files
-    preds = {"sentence_id": 0, "position": 0, "token": "x", "probability": 0.5,
-             "correct": True}
-    attn = {"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0]]}
-    return {
-        "S": src, "T": tgt, "A": aln, "''": "",
-        "OUT": str(tmp_path / "out"), "OUT2": str(tmp_path / "out2"),
-        "K": _write(tmp_path / "k", "0 ||| x y ||| -1.0\n1 ||| x ||| -1.0\n"
-                    "2 ||| y ||| -1.0\n"),
-        "R": _write(tmp_path / "r", "x y\nx\ny\n"),
-        "P": _write(tmp_path / "p.jsonl", json.dumps(preds) + "\n"),
-        "J": _write(tmp_path / "a.jsonl", json.dumps(attn) + "\n"),
-    }
-
-
 class TestEmptyPaths:
     """An empty path is a path, not an absent flag: as an output it is a
     usage error naming its flag, as an input it fails to open."""
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
-    def test_empty_output_rejected(self, tmp_path, capsys, files, case):
-        words = _EMPTY_OUTPUT_RUNS[case].split()
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words]) == 2
+    def test_empty_output_rejected(self, tmp_path, files, case):
+        words = _EMPTY_OUTPUT_RUNS[case]
         flag = case.split()[1]
-        err = capsys.readouterr().err
-        assert err.endswith(f"error: argument {flag}: output path must not be empty\n")
-        assert set(tmp_path.iterdir()) == inputs
+        assert _refused(words, files, 2).endswith(
+            f"error: argument {flag}: output path must not be empty\n"
+        )
         # the same run with a real path in place of the empty one succeeds
         files["''"] = str(tmp_path / "out3")
-        assert run([files.get(word, word) for word in words]) == 0
-        capsys.readouterr()
+        assert run(_argv(words, files)) == 0
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_INPUT_RUNS))
-    def test_empty_input_fails_to_open(self, tmp_path, capsys, files, case):
-        words = _EMPTY_INPUT_RUNS[case].split()
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words]) == 2
-        assert capsys.readouterr().err == "distillens: [Errno 2] No such file or directory: ''\n"
-        assert set(tmp_path.iterdir()) == inputs
+    def test_empty_input_fails_to_open(self, files, case):
+        assert _refused(_EMPTY_INPUT_RUNS[case], files, 2) == (
+            "distillens: [Errno 2] No such file or directory: ''\n"
+        )
 
 
-# each subcommand that writes two files, given one file under two names;
-# report trains alignments by EM, so a refusal must come before training
+# each subcommand that writes two files, given one file under two names
+# (BAD); report trains alignments by EM, so a refusal must come before training
 _SAME_OUTPUT_RUNS = {
-    "align": "align --src S --tgt T --out OUT --table SAME",
-    "metrics": "metrics --src S --tgt T --align A --out OUT --csv SAME",
-    "select": "select --kbest K --ref R --src S --cxty nmt --out OUT --scores SAME",
-    "preorder": "preorder --src S --tgt T --align A --out-src OUT --out-align SAME",
+    "align": "align --src S --tgt T --out OUT --table BAD",
+    "metrics": "metrics --src S --tgt T --align A --out OUT --csv BAD",
+    "select": "select --kbest K --ref T --src S --cxty nmt --out OUT --scores BAD",
+    "preorder": "preorder --src S --tgt T --align A --out-src OUT --out-align BAD",
     "report": "report --real-src S --real-tgt T --distilled-src S --distilled-tgt T "
-              "--out OUT --csv SAME",
+              "--out OUT --csv BAD",
 }
 
 
@@ -518,54 +470,41 @@ class TestOutputPaths:
     directory that does not exist, are usage errors that write nothing."""
 
     @pytest.mark.parametrize("subcommand", sorted(_SAME_OUTPUT_RUNS))
-    def test_two_outputs_naming_one_file_rejected(self, tmp_path, capsys, files, subcommand):
-        files["SAME"] = os.path.join(tmp_path, ".", "out")
-        words = _SAME_OUTPUT_RUNS[subcommand].split()
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words]) == 2
-        first, second = words[-4], words[-2]
-        err = capsys.readouterr().err
+    def test_two_outputs_naming_one_file_rejected(self, tmp_path, files, subcommand):
+        files["BAD"] = os.path.join(tmp_path, ".", "out")
+        words = _SAME_OUTPUT_RUNS[subcommand]
+        first, second = words.split()[-4], words.split()[-2]
+        err = _refused(words, files, 2)
         assert err.endswith(f"error: {first} and {second} name the same file\n")
         assert "iteration" not in err
-        assert set(tmp_path.iterdir()) == inputs
 
     def test_output_may_rewrite_an_input(self, files):
-        argv = ["preorder", "--src", files["S"], "--tgt", files["T"], "--align", files["A"],
-                "--out-src", files["S"], "--out-align", files["A"]]
-        assert run(argv) == 0
+        words = "preorder --src S --tgt T --align A --out-src S --out-align A"
+        assert run(_argv(words, files)) == 0
         with open(files["A"]) as fh:
             assert fh.read() == "0-0 1-1\n0-0\n0-0\n"
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
-    def test_output_in_missing_directory_rejected(self, tmp_path, capsys, files, case):
+    def test_output_in_missing_directory_rejected(self, tmp_path, files, case):
         files["''"] = missing = str(tmp_path / "nodir" / "x")
-        words = _EMPTY_OUTPUT_RUNS[case].split()
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words]) == 2
         flag = case.split()[1]
-        err = capsys.readouterr().err
+        err = _refused(_EMPTY_OUTPUT_RUNS[case], files, 2)
         assert err.endswith(
             f"error: argument {flag}: cannot write {missing!r}: "
             f"{os.path.dirname(missing)!r} is not a directory\n"
         )
         assert "iteration" not in err and ".tmp." not in err
-        assert set(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_OUTPUT_RUNS))
-    def test_output_that_is_a_directory_rejected(self, tmp_path, capsys, files, case):
+    def test_output_that_is_a_directory_rejected(self, tmp_path, files, case):
         files["''"] = directory = str(tmp_path / "adir")
         os.mkdir(directory)
-        words = _EMPTY_OUTPUT_RUNS[case].split()
-        inputs = set(tmp_path.iterdir())
-        assert run([files.get(word, word) for word in words]) == 2
         flag = case.split()[1]
-        err = capsys.readouterr().err
+        err = _refused(_EMPTY_OUTPUT_RUNS[case], files, 2)
         assert err.endswith(
             f"error: argument {flag}: cannot write {directory!r}: it is a directory\n"
         )
         assert "iteration" not in err and ".tmp." not in err
-        assert set(tmp_path.iterdir()) == inputs
-        assert os.listdir(directory) == []
 
     @pytest.mark.parametrize("dangling", [False, True])
     def test_output_symlink_written_through(self, tmp_path, files, dangling):
@@ -579,41 +518,32 @@ class TestOutputPaths:
         assert target.read_text() == "iteration,mean_confidence\n1,1.0\n"
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp.")]
 
-    def test_output_symlink_and_its_target_name_one_file(self, tmp_path, capsys, files):
-        link = tmp_path / "link"
-        link.symlink_to(tmp_path / "out")
-        argv = ["align", "--src", files["S"], "--tgt", files["T"],
-                "--out", str(link), "--table", files["OUT"]]
-        assert run(argv) == 2
-        assert capsys.readouterr().err.endswith("error: --out and --table name the same file\n")
-        assert not (tmp_path / "out").exists()
+    def test_output_symlink_and_its_target_name_one_file(self, tmp_path, files):
+        files["BAD"] = str(tmp_path / "link")
+        os.symlink(files["OUT"], files["BAD"])
+        assert _refused("align --src S --tgt T --out BAD --table OUT", files, 2).endswith(
+            "error: --out and --table name the same file\n"
+        )
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     @pytest.mark.parametrize("via_link", [False, True])
-    def test_output_that_is_a_fifo_rejected(self, tmp_path, capsys, files, via_link):
+    def test_output_that_is_a_fifo_rejected(self, tmp_path, files, via_link):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        out = fifo
+        files["BAD"] = str(fifo)
         if via_link:
-            out = tmp_path / "link"
-            out.symlink_to(fifo)
-        inputs = set(tmp_path.iterdir())
-        assert run(["attn", "--attn", files["J"], "--out", str(out)]) == 2
-        assert capsys.readouterr().err.endswith(
-            f"error: argument --out: cannot write {str(out)!r}: it is not a regular file\n"
+            files["BAD"] = str(tmp_path / "link")
+            os.symlink(fifo, files["BAD"])
+        assert _refused("attn --attn J --out BAD", files, 2).endswith(
+            f"error: argument --out: cannot write {files['BAD']!r}: it is not a regular file\n"
         )
-        assert set(tmp_path.iterdir()) == inputs
         assert fifo.is_fifo()
 
-    def test_current_directory_as_output_rejected(self, tmp_path, capsys, files, monkeypatch):
+    def test_current_directory_as_output_rejected(self, tmp_path, files, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        inputs = set(tmp_path.iterdir())
-        argv = ["align", "--src", files["S"], "--tgt", files["T"], "--iters", "2", "--out", "."]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
+        err = _refused("align --src S --tgt T --iters 2 --out .", files, 2)
         assert err.endswith("error: argument --out: cannot write '.': it is a directory\n")
         assert "iteration" not in err
-        assert set(tmp_path.iterdir()) == inputs
 
 
 class TestAlign:
@@ -685,6 +615,17 @@ class TestMetricsCsv:
             _assert_cells_match(row[1:], header[1:], payload[row[0]])
 
 
+# metrics and report of S / T / A against a real corpus that aligns each
+# source word to itself, so the smoothed support of each word holds two
+# target words, one that the distilled corpus never aligns to it
+_ALPHA_RUNS = {
+    "metrics": "metrics --src S --tgt T --align A --real-src S --real-tgt S --real-align A "
+               "--out OUT --csv OUT2",
+    "report": "report --real-src S --real-tgt S --real-align A --distilled-src S "
+              "--distilled-tgt T --distilled-align A --out OUT --csv OUT2",
+}
+
+
 class TestExtremeAlpha:
     """An alpha that is finite and positive but overflows the smoothing
     exits 1 naming alpha, and writes nothing."""
@@ -695,44 +636,25 @@ class TestExtremeAlpha:
          ("1e-320", "too small: faithfulness is inf")],
     )
     @pytest.mark.parametrize("command", ["metrics", "report"])
-    def test_exits_1_and_writes_nothing(self, tmp_path, capsys, command, alpha, fault):
-        assert run(argv(command, tmp_path, "--alpha", alpha)) == 1
-        assert capsys.readouterr().err == (
+    def test_exits_1_and_writes_nothing(self, files, command, alpha, fault):
+        assert _refused(f"{_ALPHA_RUNS[command]} --alpha {alpha}", files, 1) == (
             f"distillens: smoothing constant {float(alpha)} is {fault}\n"
         )
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestEarlyArgumentChecks:
     @pytest.mark.parametrize("alpha", ["nan", "0"])
-    def test_report_alpha_rejected_before_training(self, tmp_path, capsys, corpus_files, alpha):
-        src, tgt, _ = corpus_files
-        out = tmp_path / "report.json"
-        code = run(
-            ["report", "--real-src", src, "--real-tgt", tgt,
-             "--distilled-src", src, "--distilled-tgt", tgt,
-             "--alpha", alpha, "--out", str(out), "--csv", str(tmp_path / "r.csv")]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
+    def test_report_alpha_rejected_before_training(self, files, alpha):
+        words = ("report --real-src S --real-tgt T --distilled-src S --distilled-tgt T "
+                 f"--alpha {alpha} --out OUT --csv OUT2")
+        assert _refused(words, files, 1) == (
             f"distillens: smoothing constant must be finite and > 0, got {float(alpha)}\n"
         )
-        assert not out.exists() and not (tmp_path / "r.csv").exists()
 
-    def test_select_lambda_rejected_before_reading(self, tmp_path, capsys):
-        src = _write(tmp_path / "s", "a\n")
-        ref = _write(tmp_path / "r", "x\n")
-        kbest = _write(tmp_path / "k", "0 ||| x ||| -1.0\n")
-        table = _write(tmp_path / "t.tsv", "a\tx\tnan\n")
-        out = tmp_path / "sel.txt"
-        code = run(
-            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
-             "--lambda", "2", "--cxty", "walign", "--table", table, "--out", str(out)]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "distillens: sim_weight must be in [0, 1], got 2.0\n"
-        assert not out.exists()
+    def test_select_lambda_rejected_before_reading(self, files):
+        _write(files["BAD"], "a\tx\tnan\n")
+        words = "select --kbest K --ref T --src S --lambda 2 --cxty walign --table BAD --out OUT"
+        assert _refused(words, files, 1) == "distillens: sim_weight must be in [0, 1], got 2.0\n"
 
 
 class TestSelect:
@@ -783,62 +705,36 @@ class TestSelect:
         assert code == 0
         assert out.read_text() == "a\nb\n"
 
-    def test_sentence_id_beyond_reference_file(self, tmp_path, capsys):
-        src = _write(tmp_path / "s", "s0\n")
-        ref = _write(tmp_path / "r", "a\n")
-        kbest = _write(tmp_path / "k", "5 ||| a ||| -1.0\n")
-        code = run(
-            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
-             "--cxty", "nmt", "--out", str(tmp_path / "o")]
-        )
-        assert code == 1
-        capsys.readouterr()
+    # what select prints for a k-best list in BAD whose ids are not 0..K-1
+    # with K at most the 3 lines of T and S
+    _IDS = ("distillens: {BAD}: k-best sentence ids must be exactly 0..K-1 with K <= 3, "
+            "the line count of {T} and {S}\n")
+
+    def test_sentence_id_beyond_reference_file(self, files):
+        _write(files["BAD"], "5 ||| a ||| -1.0\n")
+        err = _refused("select --kbest BAD --ref T --src S --cxty nmt --out OUT", files, 1)
+        assert err == self._IDS.format(**files)
 
     @pytest.mark.parametrize("ids", [[2], [0, 2], [0, 1, 2, 3]])
-    def test_ids_must_be_a_prefix_of_the_lines(self, tmp_path, capsys, ids):
-        src = _write(tmp_path / "s", "s0\ns1\ns2\n")
-        ref = _write(tmp_path / "r", "a\nb\nc\n")
-        kbest = _write(tmp_path / "k", "".join(f"{i} ||| a ||| -1.0\n" for i in ids))
-        out = tmp_path / "sel.txt"
-        code = run(
-            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
-             "--cxty", "nmt", "--out", str(out)]
-        )
-        assert code == 1
-        assert not out.exists()
-        assert "0..K-1" in capsys.readouterr().err
+    def test_ids_must_be_a_prefix_of_the_lines(self, files, ids):
+        _write(files["BAD"], "".join(f"{i} ||| a ||| -1.0\n" for i in ids))
+        err = _refused("select --kbest BAD --ref T --src S --cxty nmt --out OUT", files, 1)
+        assert err == self._IDS.format(**files)
 
-    def test_ids_checked_before_the_table(self, tmp_path, capsys):
-        src = _write(tmp_path / "s", "s0\n")
-        ref = _write(tmp_path / "r", "a\n")
-        kbest = _write(tmp_path / "k", "3 ||| a ||| -1.0\n")
-        table = _write(tmp_path / "t.tsv", "s0\ta\tnan\n")
-        out = tmp_path / "sel.txt"
-        code = run(
-            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
-             "--cxty", "walign", "--table", table, "--out", str(out)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"distillens: {kbest}: k-best sentence ids ")
-        assert not out.exists()
+    def test_ids_checked_before_the_table(self, files):
+        _write(files["BAD"], "3 ||| a ||| -1.0\n")
+        _write(files["TSV"], "a\tx\tnan\n")
+        words = "select --kbest BAD --ref T --src S --cxty walign --table TSV --out OUT"
+        assert _refused(words, files, 1) == self._IDS.format(**files)
 
     @pytest.mark.parametrize("kind", ["frs", "walign", "nmt"])
-    def test_empty_table_path_fails_to_open(self, tmp_path, capsys, monkeypatch, kind):
+    def test_empty_table_path_fails_to_open(self, files, monkeypatch, kind):
         def no_scoring(*args):
             raise AssertionError("scored without a table")
 
         monkeypatch.setattr("distillens.cli.score_hypotheses", no_scoring)
-        src = _write(tmp_path / "s", "s0\n")
-        ref = _write(tmp_path / "r", "a\n")
-        kbest = _write(tmp_path / "k", "0 ||| a ||| -1.0\n")
-        out = tmp_path / "sel.txt"
-        code = run(
-            ["select", "--kbest", kbest, "--ref", ref, "--src", src,
-             "--cxty", kind, "--table", "", "--out", str(out)]
-        )
-        assert code == 2
-        assert "No such file or directory: ''" in capsys.readouterr().err
-        assert not out.exists()
+        words = f"select --kbest K --ref T --src S --cxty {kind} --table '' --out OUT"
+        assert _refused(words, files, 2) == "distillens: [Errno 2] No such file or directory: ''\n"
 
     def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
         """align's table, and select's --out and --scores for each --cxty,
@@ -878,7 +774,9 @@ class TestPreorder:
 
 
 class TestCalibrate:
-    def _preds(self, tmp_path):
+    def _preds(self, path):
+        """Predictions for the tokens a x c of one sentence, with no correct
+        flags."""
         lines = []
         for position, (token, prob) in enumerate(
             [("a", 0.9), ("x", 0.8), ("c", 0.3)]
@@ -894,10 +792,10 @@ class TestCalibrate:
                     sort_keys=True,
                 )
             )
-        return _write(tmp_path / "p.jsonl", "\n".join(lines) + "\n")
+        return _write(path, "\n".join(lines) + "\n")
 
     def test_fill_from_hyp_and_ref(self, tmp_path, capsys):
-        preds = self._preds(tmp_path)
+        preds = self._preds(tmp_path / "p.jsonl")
         hyp = _write(tmp_path / "h", "a x c\n")
         ref = _write(tmp_path / "r", "a b c\n")
         out = tmp_path / "cal.json"
@@ -912,26 +810,18 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert "accuracy" in err and "%" in err
 
-    def test_missing_flags_without_fill_files(self, tmp_path, capsys):
-        preds = self._preds(tmp_path)
-        code = run(["calibrate", "--preds", preds, "--out", str(tmp_path / "o.json")])
-        assert code == 1
-        assert "correct" in capsys.readouterr().err
+    def test_missing_flags_without_fill_files(self, files):
+        self._preds(files["BAD"])
+        assert "correct" in _refused("calibrate --preds BAD --out OUT", files, 1)
 
-    def test_bins_limit(self, tmp_path, capsys):
-        preds = self._preds(tmp_path)
-        hyp = _write(tmp_path / "h", "a x c\n")
-        ref = _write(tmp_path / "r", "a b c\n")
-        out = tmp_path / "cal.json"
-        argv = ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref,
-                "--out", str(out), "--bins"]
-        assert run(argv + [str(MAX_BINS + 1)]) == 2
-        assert f"--bins: must be <= {MAX_BINS}, got {MAX_BINS + 1}" in capsys.readouterr().err
-        assert not out.exists()
+    def test_bins_limit(self, files):
+        words = "calibrate --preds P --hyp S --ref T --out OUT --bins"
+        err = _refused(f"{words} {MAX_BINS + 1}", files, 2)
+        assert f"--bins: must be <= {MAX_BINS}, got {MAX_BINS + 1}" in err
         for bins in (MAX_BINS, 1):
-            assert run(argv + [str(bins)]) == 0
-            assert json.loads(out.read_text())["n_bins"] == bins
-        capsys.readouterr()
+            assert run(_argv(f"{words} {bins}", files)) == 0
+            with open(files["OUT"]) as fh:
+                assert json.load(fh)["n_bins"] == bins
 
     @pytest.mark.parametrize(
         "hyp_line, message",
@@ -952,28 +842,19 @@ class TestCalibrate:
             ),
         ],
     )
-    def test_cross_input_error_names_preds(self, tmp_path, capsys, hyp_line, message):
-        preds = self._preds(tmp_path)
-        out = tmp_path / "cal.json"
-        argv = ["calibrate", "--preds", preds, "--out", str(out)]
+    def test_cross_input_error_names_preds(self, tmp_path, files, hyp_line, message):
+        self._preds(files["BAD"])
+        words = "calibrate --preds BAD --out OUT"
         if hyp_line is not None:
-            argv += ["--hyp", _write(tmp_path / "h", hyp_line),
-                     "--ref", _write(tmp_path / "r", "a b c\n")]
-        assert run(argv) == 1
-        assert capsys.readouterr().err == f"distillens: {preds}: {message}\n"
-        assert not out.exists()
+            files["H"] = _write(tmp_path / "h", hyp_line)
+            words += " --hyp H --ref L.tgt"
+        assert _refused(words, files, 1) == f"distillens: {files['BAD']}: {message}\n"
 
-    def test_hyp_and_ref_line_counts_must_agree(self, tmp_path, capsys):
-        preds = self._preds(tmp_path)
-        hyp = _write(tmp_path / "h", "a x c\nb\n")
-        ref = _write(tmp_path / "r", "a b c\n")
-        out = tmp_path / "cal.json"
-        argv = ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref, "--out", str(out)]
-        assert run(argv) == 1
-        assert capsys.readouterr().err == (
-            f"distillens: {hyp}: has 2 lines, but {ref} has 1\n"
+    def test_hyp_and_ref_line_counts_must_agree(self, files):
+        _write(files["BAD"], "a x c\nb\n")
+        assert _refused("calibrate --preds P --hyp BAD --ref L.tgt --out OUT", files, 1) == (
+            f"distillens: {files['BAD']}: has 2 lines, but {files['L.tgt']} has 1\n"
         )
-        assert not out.exists()
 
     def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
         """calibrate on the bundled predictions, whose correct flags all come
@@ -984,15 +865,10 @@ class TestCalibrate:
         _run_pinned(tmp_path, "attn")
         _assert_pinned(tmp_path, "calibrate.json", "attn.csv")
 
-    def test_hyp_requires_ref(self, tmp_path, capsys):
-        preds = self._preds(tmp_path)
-        hyp = _write(tmp_path / "h", "a x c\n")
-        code = run(
-            ["calibrate", "--preds", preds, "--hyp", hyp,
-             "--out", str(tmp_path / "o.json")]
+    def test_hyp_requires_ref(self, files):
+        assert _refused("calibrate --preds P --hyp S --out OUT", files, 2).endswith(
+            "error: --hyp and --ref must be given together\n"
         )
-        assert code == 2
-        capsys.readouterr()
 
 
 @st.composite
@@ -1053,20 +929,17 @@ class TestAttn:
         assert run(["attn", "--attn", path, "--out", str(out)]) == 0
         assert out.read_text() == "iteration,mean_confidence\n1,1.0\n2,0.5\n"
 
-    def test_repeated_key_refused_like_read_attention(self, tmp_path, capsys):
+    def test_repeated_key_refused_like_read_attention(self, files):
         # the bundled file with its first line in front of it again
         with open(bundled_data_dir() / "demo.attn.jsonl", encoding="utf-8") as fh:
             lines = fh.readlines()
-        path = _write(tmp_path / "a.jsonl", "".join([lines[0], *lines]))
+        path = _write(files["BAD"], "".join([lines[0], *lines]))
         with pytest.raises(FormatError) as info:
             read_attention(path)
         assert str(info.value) == (
             f"{path}: line 2: duplicate head 0 at iteration 1 in sentence 0"
         )
-        out = tmp_path / "curve.csv"
-        assert run(["attn", "--attn", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"distillens: {info.value}\n"
-        assert not out.exists()
+        assert _refused("attn --attn BAD --out OUT", files, 1) == f"distillens: {info.value}\n"
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
     @given(records=_attention_records(min_size=1, max_size=6))
@@ -1086,20 +959,15 @@ class TestAttn:
         bad_row=st.sampled_from(_BAD_ATTENTION_ROWS),
         data=st.data(),
     )
-    def test_bad_line_message_matches_read_attention(
-        self, tmp_path, capsys, records, bad_row, data
-    ):
+    def test_bad_line_message_matches_read_attention(self, files, records, bad_row, data):
         lines = [json.dumps(r) + "\n" for r in records]
         at = data.draw(st.integers(0, len(lines)))
         lines.insert(at, _ATTENTION_WITH_ROW % bad_row + "\n")
-        path = _write(tmp_path / "a.jsonl", "".join(lines))
+        path = _write(files["BAD"], "".join(lines))
         with pytest.raises(FormatError) as info:
             read_attention(path)
         assert str(info.value).startswith(f"{path}: line {at + 1}: ")
-        out = tmp_path / "curve.csv"
-        assert run(["attn", "--attn", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"distillens: {info.value}\n"
-        assert not out.exists()
+        assert _refused("attn --attn BAD --out OUT", files, 1) == f"distillens: {info.value}\n"
 
     @staticmethod
     def _traced_peak(tmp_path, rows, width):
@@ -1302,12 +1170,14 @@ def _links_inside(alignment_lines, sources, targets):
 class TestDrawnInputs:
     """Every subcommand on tiny drawn valid inputs ends one of two ways: exit
     0 with the invariants its outputs must keep, or exit 1 with a message
-    that starts with one of its inputs and no output written."""
+    that starts with one of its inputs and no path changed."""
 
     @staticmethod
-    def _run(argv, inputs, outputs):
+    def _run(argv, inputs):
         """True on exit 0; else the run must have exited 1, named an input
-        and written none of its outputs."""
+        and left every path in the directory of its inputs as it was."""
+        root = os.path.dirname(inputs[0])
+        before = _snapshot(root)
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run(argv)
         if code == 0:
@@ -1315,7 +1185,7 @@ class TestDrawnInputs:
         last = err.getvalue().splitlines()[-1]
         assert code == 1, last
         assert any(last.startswith(f"distillens: {path}: ") for path in inputs), last
-        assert not any(os.path.exists(path) for path in outputs)
+        assert _snapshot(root) == before
         return False
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=60,
@@ -1331,21 +1201,20 @@ class TestDrawnInputs:
         aln, table = str(d / "c.aln"), str(d / "t.tsv")
 
         assert self._run(["align", "--src", src, "--tgt", tgt, "--iters", iterations,
-                          "--out", aln, "--table", table], [src, tgt], [aln, table])
+                          "--out", aln, "--table", table], [src, tgt])
         _links_inside(_lines(aln), sources, targets)
 
         real = ["--real-src", src, "--real-tgt", tgt, "--real-align", aln]
         for extra in ([], real):
             out = str(d / "m.json")
             if self._run(["metrics", "--src", src, "--tgt", tgt, "--align", aln, *extra,
-                          "--out", out], [src, tgt, aln], [out]):
+                          "--out", out], [src, tgt, aln]):
                 _finite_json(out)
-                os.unlink(out)
 
         out_src, out_aln = str(d / "p.src"), str(d / "p.aln")
         assert self._run(["preorder", "--src", src, "--tgt", tgt, "--align", aln,
                           "--out-src", out_src, "--out-align", out_aln],
-                         [src, tgt, aln], [out_src, out_aln])
+                         [src, tgt, aln])
         reordered = _lines(out_src)
         assert [sorted(line.split()) for line in reordered] == [
             sorted(line.split()) for line in sources
@@ -1355,7 +1224,7 @@ class TestDrawnInputs:
         out = str(d / "r.json")
         if self._run(["report", "--real-src", src, "--real-tgt", tgt, "--distilled-src",
                       out_src, "--distilled-tgt", tgt, "--iters", iterations, "--out", out],
-                     [src, tgt, out_src], [out]):
+                     [src, tgt, out_src]):
             assert sorted(_finite_json(out)) == ["distilled", "real"]
 
         kbest, lists = str(d / "k.txt"), {}
@@ -1366,7 +1235,7 @@ class TestDrawnInputs:
             out, scores = str(d / f"{kind}.out"), str(d / f"{kind}.csv")
             assert self._run(["select", "--kbest", kbest, "--ref", tgt, "--src", src,
                               "--cxty", kind, "--table", table, "--out", out,
-                              "--scores", scores], [kbest, tgt, src, table], [out, scores])
+                              "--scores", scores], [kbest, tgt, src, table])
             picks = _lines(out)
             assert len(picks) == len(lists)
             assert all(pick in lists[n] for n, pick in enumerate(picks))
@@ -1378,13 +1247,12 @@ class TestDrawnInputs:
         for extra in ([], ["--hyp", str(d / "h.txt"), "--ref", tgt]):
             out = str(d / "c.json")
             if self._run(["calibrate", "--preds", preds, *extra, "--out", out],
-                         [preds, *extra[1::2]], [out]):
+                         [preds, *extra[1::2]]):
                 report = _finite_json(out)
                 assert sum(b["count"] for b in report["bins"]) == len(files["p.jsonl"])
-                os.unlink(out)
 
         attn, out = str(d / "a.jsonl"), str(d / "curve.csv")
-        if self._run(["attn", "--attn", attn, "--out", out], [attn], [out]):
+        if self._run(["attn", "--attn", attn, "--out", out], [attn]):
             header, *rows = _csv_rows(out)
             assert [int(row[0]) for row in rows] == sorted({int(row[0]) for row in rows})
             assert all(math.isfinite(float(row[1])) for row in rows)
