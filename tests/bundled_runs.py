@@ -7,14 +7,13 @@ speed-up must not move a byte, on any supported Python. A change that
 means to move bytes moves their digests here and says why.
 """
 
-import contextlib
 import hashlib
-import io
 import os
 from pathlib import Path
 
 from distillens import bundled_data_dir
-from distillens.cli import run
+
+from cli_judge import judged_run
 
 DATA = str(bundled_data_dir())
 
@@ -91,12 +90,11 @@ def run_all(out, *extra):
     Path(out).mkdir()
     digests = {}
     for name in RUNS:
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = run(argv(name, out, *extra))
+        code, err = judged_run(argv(name, out, *extra), out)
         if code != 0:
-            raise AssertionError(f"{name} exited {code}: {err.getvalue()}")
-        if err.getvalue():
-            digests[f"{name} stderr"] = digest(err.getvalue().encode())
+            raise AssertionError(f"{name} exited {code}: {err}")
+        if err:
+            digests[f"{name} stderr"] = digest(err.encode())
     for path in Path(out).iterdir():
         digests[path.name] = digest(path.read_bytes())
     return digests

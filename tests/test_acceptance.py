@@ -34,9 +34,9 @@ from distillens import (
     train_ibm1,
     viterbi_align,
 )
-from distillens.cli import run
 
 from bundled_runs import DIGESTS, argv, run_all
+from cli_judge import judged_run
 
 
 def _alignment_from_map(source_indices):
@@ -308,7 +308,7 @@ def test_criterion_09_preorder_laws():
 def test_criterion_10_directional_complexity_deltas(tmp_path):
     """Distilled corpus: more monotone, less diverse, less faithful."""
     start = time.perf_counter()
-    assert run(argv("report", tmp_path)) == 0
+    assert judged_run(argv("report", tmp_path), tmp_path)[0] == 0
     elapsed = time.perf_counter() - start
     payload = json.loads((tmp_path / "report.json").read_text())
     real, distilled = payload["real"], payload["distilled"]
@@ -318,7 +318,7 @@ def test_criterion_10_directional_complexity_deltas(tmp_path):
     assert elapsed < 10.0
     # EM on the bundled corpora reproduces their alignments byte for byte,
     # so report without them writes the same bytes
-    assert run(argv("report em", tmp_path)) == 0
+    assert judged_run(argv("report em", tmp_path), tmp_path)[0] == 0
     for ext in ("json", "csv"):
         em = (tmp_path / f"report-em.{ext}").read_bytes()
         assert em == (tmp_path / f"report.{ext}").read_bytes()

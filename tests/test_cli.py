@@ -1,18 +1,13 @@
 """End-to-end subcommand behaviour through the public entry point.
 
-A run the CLI refuses exits 1 or 2 with a message on stderr, and leaves
-every path it could reach as it was: no output is written and no input
-is touched. Each refusal test writes its run as words over the
+Every in-process run goes through ``cli_judge.judged_run``, which holds
+the CLI's contract. Each refusal test writes its run as words over the
 placeholders of the ``files`` fixture, runs it through ``_refused``,
-which checks the exit code and that no path changed, and checks the
-message itself.
+which adds the exact exit code, and checks the message itself.
 """
 
-import contextlib
 import csv
-import io
 import json
-import math
 import os
 import random
 import subprocess
@@ -29,15 +24,20 @@ from hypothesis import strategies as st
 import distillens
 from distillens import FormatError, bundled_data_dir, confidence_by_iteration, read_attention
 from distillens.calibration import MAX_BINS
-from distillens.cli import run
 
 from bundled_runs import DIGESTS, argv, digest
+from cli_judge import judged_run
 
 
 def _run_pinned(out, *names):
-    """Run each named entry of bundled_runs.RUNS into ``out``."""
+    """Run each named entry of bundled_runs.RUNS into ``out``, and return
+    what they print on stderr."""
+    errs = []
     for name in names:
-        assert run(argv(name, out)) == 0, name
+        code, err = judged_run(argv(name, out), out)
+        assert code == 0, (name, err)
+        errs.append(err)
+    return "".join(errs)
 
 
 def _assert_pinned(out, *names):
@@ -112,26 +112,17 @@ def files(tmp_path, corpus_files):
     }
 
 
-def _snapshot(root):
-    """Every path under ``root``, each regular file with its bytes."""
-    return {path: path.read_bytes() if path.is_file() else None for path in Path(root).rglob("*")}
-
-
 def _argv(words, files):
     """The space-separated ``words``, each placeholder replaced by its path."""
     return [files.get(word, word) for word in words.split()]
 
 
 def _refused(words, files, code):
-    """Run ``words`` over ``files``, assert that it exits ``code`` and
-    leaves every path under the directory of OUT as it was, and return
-    its stderr."""
-    root = Path(files["OUT"]).parent
-    before = _snapshot(root)
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        assert run(_argv(words, files)) == code, err.getvalue()
-    assert _snapshot(root) == before
-    return err.getvalue()
+    """Judge ``words`` over ``files``, with the directory of OUT as the
+    root, assert that it exits ``code``, and return its stderr."""
+    got, err = judged_run(_argv(words, files), Path(files["OUT"]).parent)
+    assert got == code, err
+    return err
 
 
 class TestMainModule:
@@ -167,8 +158,8 @@ class TestExitCodes:
             "error: the following arguments are required: command\n"
         )
 
-    def test_help_exits_zero(self, capsys):
-        assert run(["--help"]) == 0
+    def test_help_exits_zero(self, tmp_path, capsys):
+        assert judged_run(["--help"], tmp_path)[0] == 0
         assert "align" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -319,13 +310,13 @@ class TestUndecodableInput:
         f"{words[0]} {flag}" for words in map(str.split, _RUNS.values())
         for flag, word in zip(words[1::2], words[2::2]) if word in "S T A K TSV P J".split()
     ])
-    def test_rejected_with_no_output(self, files, case):
+    def test_rejected_with_no_output(self, tmp_path, files, case):
         subcommand, flag = case.split()
         words = _RUNS[subcommand].split()
         at = words.index(flag) + 1
         first, rest = Path(files[words[at]]).read_bytes().split(b"\n", 1)
         Path(files["BAD"]).write_bytes(first + b"\n\xff" + rest)
-        assert run(_argv(_RUNS[subcommand], files)) == 0
+        assert judged_run(_argv(_RUNS[subcommand], files), tmp_path)[0] == 0
         words[at] = "BAD"
         assert _refused(" ".join(words), files, 1) == (
             f"distillens: {files['BAD']}: line 2: not valid UTF-8\n"
@@ -443,7 +434,7 @@ class TestEmptyPaths:
         )
         # the same run with a real path in place of the empty one succeeds
         files["''"] = str(tmp_path / "out3")
-        assert run(_argv(words, files)) == 0
+        assert judged_run(_argv(words, files), tmp_path)[0] == 0
 
     @pytest.mark.parametrize("case", sorted(_EMPTY_INPUT_RUNS))
     def test_empty_input_fails_to_open(self, files, case):
@@ -478,9 +469,9 @@ class TestOutputPaths:
         assert err.endswith(f"error: {first} and {second} name the same file\n")
         assert "iteration" not in err
 
-    def test_output_may_rewrite_an_input(self, files):
+    def test_output_may_rewrite_an_input(self, tmp_path, files):
         words = "preorder --src S --tgt T --align A --out-src S --out-align A"
-        assert run(_argv(words, files)) == 0
+        assert judged_run(_argv(words, files), tmp_path)[0] == 0
         with open(files["A"]) as fh:
             assert fh.read() == "0-0 1-1\n0-0\n0-0\n"
 
@@ -513,7 +504,7 @@ class TestOutputPaths:
             target.write_text("old\n")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        assert run(["attn", "--attn", files["J"], "--out", str(link)]) == 0
+        assert judged_run(["attn", "--attn", files["J"], "--out", str(link)], tmp_path)[0] == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text() == "iteration,mean_confidence\n1,1.0\n"
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp.")]
@@ -547,21 +538,21 @@ class TestOutputPaths:
 
 
 class TestAlign:
-    def test_writes_alignments_and_table(self, tmp_path, corpus_files, capsys):
+    def test_writes_alignments_and_table(self, tmp_path, corpus_files):
         src, tgt, _ = corpus_files
         out = tmp_path / "out.aln"
         table = tmp_path / "table.tsv"
         for iters in (8, 1):
-            code = run(
+            code, err = judged_run(
                 ["align", "--src", src, "--tgt", tgt, "--iters", str(iters),
-                 "--out", str(out), "--table", str(table)]
+                 "--out", str(out), "--table", str(table)], tmp_path
             )
             assert code == 0
             lines = out.read_text().splitlines()
             assert lines == ["0-0 1-1", "0-0", "0-0"]
             rows = [line.split("\t") for line in table.read_text().splitlines()]
             assert all(len(row) == 3 for row in rows)
-            assert capsys.readouterr().err.count("log-likelihood") == iters
+            assert err.count("log-likelihood") == iters
 
 
 class TestMetrics:
@@ -569,9 +560,9 @@ class TestMetrics:
         src, tgt, aln = corpus_files
         out = tmp_path / "r.json"
         csv_out = tmp_path / "r.csv"
-        code = run(
+        code, _ = judged_run(
             ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
-             "--out", str(out), "--csv", str(csv_out)]
+             "--out", str(out), "--csv", str(csv_out)], tmp_path
         )
         assert code == 0
         payload = json.loads(out.read_text())
@@ -586,10 +577,10 @@ class TestMetrics:
         src, tgt, aln = corpus_files
         real_tgt = _write(tmp_path / "r.tgt", "p q\np\nq\n")
         out = tmp_path / "r.json"
-        code = run(
+        code, _ = judged_run(
             ["metrics", "--src", src, "--tgt", tgt, "--align", aln,
              "--real-src", src, "--real-tgt", real_tgt, "--real-align", aln,
-             "--out", str(out)]
+             "--out", str(out)], tmp_path
         )
         assert code == 0
         # disjoint target vocabularies force a large divergence
@@ -599,7 +590,7 @@ class TestMetrics:
 class TestMetricsCsv:
     def test_metrics_cells_are_the_json_values(self, tmp_path):
         words = argv("metrics", tmp_path)
-        assert run(words) == 0
+        assert judged_run(words, tmp_path)[0] == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
         header, row = _csv_rows(tmp_path / "metrics.csv")
         assert row[0] == words[words.index("--src") + 1]
@@ -607,7 +598,7 @@ class TestMetricsCsv:
         _assert_cells_match(row[1:], header[1:], payload)
 
     def test_report_cells_are_the_json_values(self, tmp_path):
-        assert run(argv("report", tmp_path)) == 0
+        assert judged_run(argv("report", tmp_path), tmp_path)[0] == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         header, *rows = _csv_rows(tmp_path / "report.csv")
         assert [row[0] for row in rows] == ["real", "distilled"]
@@ -667,10 +658,10 @@ class TestSelect:
         )
         out = tmp_path / "sel.txt"
         scores = tmp_path / "scores.csv"
-        code = run(
+        code, _ = judged_run(
             ["select", "--kbest", kbest, "--ref", ref, "--src", src,
              "--lambda", "1.0", "--cxty", "nmt",
-             "--out", str(out), "--scores", str(scores)]
+             "--out", str(out), "--scores", str(scores)], tmp_path
         )
         assert code == 0
         assert out.read_text() == "x y\n"
@@ -682,7 +673,7 @@ class TestSelect:
         assert len(selected) == 1 and selected[0][8] == "x y"
 
     def test_score_floats_read_back_exactly(self, tmp_path):
-        assert run(argv("select nmt", tmp_path)) == 0
+        assert judged_run(argv("select nmt", tmp_path), tmp_path)[0] == 0
         header, *rows = _csv_rows(tmp_path / "nmt.csv")
         assert header[2:7] == ["sim", "sim_norm", "cxty_raw", "cxty_norm", "total"]
         assert rows
@@ -698,9 +689,9 @@ class TestSelect:
             "0 ||| a ||| -1.0\n1 ||| b ||| -1.0\n",
         )
         out = tmp_path / "sel.txt"
-        code = run(
+        code, _ = judged_run(
             ["select", "--kbest", kbest, "--ref", ref, "--src", src,
-             "--cxty", "nmt", "--out", str(out)]
+             "--cxty", "nmt", "--out", str(out)], tmp_path
         )
         assert code == 0
         assert out.read_text() == "a\nb\n"
@@ -736,11 +727,10 @@ class TestSelect:
         words = f"select --kbest K --ref T --src S --cxty {kind} --table '' --out OUT"
         assert _refused(words, files, 2) == "distillens: [Errno 2] No such file or directory: ''\n"
 
-    def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
+    def test_bundled_data_bytes_pinned(self, tmp_path):
         """align's table, and select's --out and --scores for each --cxty,
         hold the digests of bundled_runs on their own."""
         _run_pinned(tmp_path, "align", "select frs", "select walign", "select nmt")
-        capsys.readouterr()
         _assert_pinned(tmp_path, "table.tsv", *(
             f"{kind}.{ext}" for kind in ("frs", "walign", "nmt") for ext in ("out", "csv")
         ))
@@ -753,9 +743,9 @@ class TestPreorder:
         aln = _write(tmp_path / "a", "0-2 1-1 2-0\n")
         out_src = tmp_path / "s2"
         out_aln = tmp_path / "a2"
-        code = run(
+        code, _ = judged_run(
             ["preorder", "--src", src, "--tgt", tgt, "--align", aln,
-             "--out-src", str(out_src), "--out-align", str(out_aln)]
+             "--out-src", str(out_src), "--out-align", str(out_aln)], tmp_path
         )
         assert code == 0
         assert out_src.read_text() == "c b a\n"
@@ -763,10 +753,10 @@ class TestPreorder:
         # applying the transform to its own output changes nothing
         out_src2 = tmp_path / "s3"
         out_aln2 = tmp_path / "a3"
-        code = run(
+        code, _ = judged_run(
             ["preorder", "--src", str(out_src), "--tgt", tgt,
              "--align", str(out_aln),
-             "--out-src", str(out_src2), "--out-align", str(out_aln2)]
+             "--out-src", str(out_src2), "--out-align", str(out_aln2)], tmp_path
         )
         assert code == 0
         assert out_src2.read_text() == out_src.read_text()
@@ -794,32 +784,27 @@ class TestCalibrate:
             )
         return _write(path, "\n".join(lines) + "\n")
 
-    def test_fill_from_hyp_and_ref(self, tmp_path, capsys):
+    def test_fill_from_hyp_and_ref(self, tmp_path):
         preds = self._preds(tmp_path / "p.jsonl")
         hyp = _write(tmp_path / "h", "a x c\n")
         ref = _write(tmp_path / "r", "a b c\n")
         out = tmp_path / "cal.json"
-        code = run(
+        code, err = judged_run(
             ["calibrate", "--preds", preds, "--hyp", hyp, "--ref", ref,
-             "--out", str(out)]
+             "--out", str(out)], tmp_path
         )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["accuracy"] == pytest.approx(2 / 3)
         assert payload["n_bins"] == 10
-        err = capsys.readouterr().err
         assert "accuracy" in err and "%" in err
 
-    def test_missing_flags_without_fill_files(self, files):
-        self._preds(files["BAD"])
-        assert "correct" in _refused("calibrate --preds BAD --out OUT", files, 1)
-
-    def test_bins_limit(self, files):
+    def test_bins_limit(self, tmp_path, files):
         words = "calibrate --preds P --hyp S --ref T --out OUT --bins"
         err = _refused(f"{words} {MAX_BINS + 1}", files, 2)
         assert f"--bins: must be <= {MAX_BINS}, got {MAX_BINS + 1}" in err
         for bins in (MAX_BINS, 1):
-            assert run(_argv(f"{words} {bins}", files)) == 0
+            assert judged_run(_argv(f"{words} {bins}", files), tmp_path)[0] == 0
             with open(files["OUT"]) as fh:
                 assert json.load(fh)["n_bins"] == bins
 
@@ -856,13 +841,12 @@ class TestCalibrate:
             f"distillens: {files['BAD']}: has 2 lines, but {files['L.tgt']} has 1\n"
         )
 
-    def test_bundled_data_bytes_pinned(self, tmp_path, capsys):
+    def test_bundled_data_bytes_pinned(self, tmp_path):
         """calibrate on the bundled predictions, whose correct flags all come
         from token_accuracy, and attn on the bundled export hold the digests
         of bundled_runs on their own."""
-        _run_pinned(tmp_path, "calibrate")
-        assert capsys.readouterr().err == "accuracy 82.22% confidence 65.80% ece 18.28%\n"
-        _run_pinned(tmp_path, "attn")
+        err = _run_pinned(tmp_path, "calibrate", "attn")
+        assert err == "accuracy 82.22% confidence 65.80% ece 18.28%\n"
         _assert_pinned(tmp_path, "calibrate.json", "attn.csv")
 
     def test_hyp_requires_ref(self, files):
@@ -926,7 +910,7 @@ class TestAttn:
             "\n".join(json.dumps(line, sort_keys=True) for line in lines) + "\n",
         )
         out = tmp_path / "curve.csv"
-        assert run(["attn", "--attn", path, "--out", str(out)]) == 0
+        assert judged_run(["attn", "--attn", path, "--out", str(out)], tmp_path)[0] == 0
         assert out.read_text() == "iteration,mean_confidence\n1,1.0\n2,0.5\n"
 
     def test_repeated_key_refused_like_read_attention(self, files):
@@ -946,7 +930,7 @@ class TestAttn:
     def test_curve_is_confidence_by_iteration_of_read_attention(self, tmp_path, records):
         path = _write(tmp_path / "a.jsonl", "".join(json.dumps(r) + "\n" for r in records))
         out = tmp_path / "curve.csv"
-        assert run(["attn", "--attn", path, "--out", str(out)]) == 0
+        assert judged_run(["attn", "--attn", path, "--out", str(out)], tmp_path)[0] == 0
         header, *rows = _csv_rows(out)
         assert header == ["iteration", "mean_confidence"]
         # csv writes a float's repr, which reads back as the same float
@@ -972,7 +956,8 @@ class TestAttn:
     @staticmethod
     def _traced_peak(tmp_path, rows, width):
         """tracemalloc's peak over one attn run on 480 matrices of rows x
-        width weights, made from 4 random matrices."""
+        width weights, made from 4 random matrices. The judge's root is a
+        directory of its own, so its snapshot holds no copy of the input."""
         rng = random.Random(3)
         matrices = []
         for _ in range(4):
@@ -990,9 +975,11 @@ class TestAttn:
                 for n in range(480)
             ),
         )
+        out = tmp_path / "out"
+        out.mkdir()
         tracemalloc.start()
         try:
-            code = run(["attn", "--attn", path, "--out", str(tmp_path / "curve.csv")])
+            code, _ = judged_run(["attn", "--attn", path, "--out", str(out / "curve.csv")], out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1018,11 +1005,11 @@ class TestReport:
         dis_aln = _write(tmp_path / "d.aln", "0-0 1-1\n0-0 1-1\n0-0 1-1\n")
         out = tmp_path / "report.json"
         csv_out = tmp_path / "report.csv"
-        code = run(
+        code, _ = judged_run(
             ["report", "--real-src", src, "--real-tgt", tgt,
              "--distilled-src", dis_src, "--distilled-tgt", dis_tgt,
              "--real-align", aln, "--distilled-align", dis_aln,
-             "--out", str(out), "--csv", str(csv_out)]
+             "--out", str(out), "--csv", str(csv_out)], tmp_path
         )
         assert code == 0
         payload = json.loads(out.read_text())
@@ -1032,16 +1019,16 @@ class TestReport:
             rows = list(csv.reader(fh))
         assert [row[0] for row in rows] == ["corpus", "real", "distilled"]
 
-    def test_self_alignment_when_no_align_given(self, tmp_path, corpus_files, capsys):
+    def test_self_alignment_when_no_align_given(self, tmp_path, corpus_files):
         src, tgt, _ = corpus_files
         out = tmp_path / "report.json"
-        code = run(
+        code, err = judged_run(
             ["report", "--real-src", src, "--real-tgt", tgt,
              "--distilled-src", src, "--distilled-tgt", tgt,
-             "--iters", "4", "--out", str(out)]
+             "--iters", "4", "--out", str(out)], tmp_path
         )
         assert code == 0
-        assert "log-likelihood" in capsys.readouterr().err
+        assert "log-likelihood" in err
         payload = json.loads(out.read_text())
         assert payload["real"]["sentence_count"] == 3
 
@@ -1071,16 +1058,16 @@ def _metrics_and_report(out, rename=str, shuffle=None):
             f"--real-src {out}/{other}.src --real-tgt {out}/{other}.tgt "
             f"--real-align {out}/{other}.aln --out {out}/{corpus}.json"
         )
-        assert run(argv.split()) == 0
+        assert judged_run(argv.split(), out)[0] == 0
     argv = (
         f"report --real-src {out}/real.src --real-tgt {out}/real.tgt "
         f"--distilled-src {out}/distilled.src --distilled-tgt {out}/distilled.tgt "
         f"--iters 4 --out {out}/report.json"
     )
-    with contextlib.redirect_stderr(io.StringIO()) as err:
-        assert run(argv.split()) == 0
+    code, err = judged_run(argv.split(), out)
+    assert code == 0
     names = ("real.json", "distilled.json", "report.json")
-    return {**{name: (out / name).read_bytes() for name in names}, "report stderr": err.getvalue()}
+    return {**{name: (out / name).read_bytes() for name in names}, "report stderr": err}
 
 
 class TestMetamorphic:
@@ -1144,16 +1131,6 @@ def _tiny_inputs(draw):
             "a.jsonl": attention}, str(iterations)
 
 
-def _refuse_constant(name):
-    raise ValueError(f"JSON holds {name}")
-
-
-def _finite_json(path):
-    """A JSON output, refusing NaN and ±Infinity."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_refuse_constant)
-
-
 def _lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -1168,25 +1145,9 @@ def _links_inside(alignment_lines, sources, targets):
 
 
 class TestDrawnInputs:
-    """Every subcommand on tiny drawn valid inputs ends one of two ways: exit
-    0 with the invariants its outputs must keep, or exit 1 with a message
-    that starts with one of its inputs and no path changed."""
-
-    @staticmethod
-    def _run(argv, inputs):
-        """True on exit 0; else the run must have exited 1, named an input
-        and left every path in the directory of its inputs as it was."""
-        root = os.path.dirname(inputs[0])
-        before = _snapshot(root)
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = run(argv)
-        if code == 0:
-            return True
-        last = err.getvalue().splitlines()[-1]
-        assert code == 1, last
-        assert any(last.startswith(f"distillens: {path}: ") for path in inputs), last
-        assert _snapshot(root) == before
-        return False
+    """Every subcommand on tiny drawn valid inputs passes the judge, and
+    ends one of two ways: exit 0 with the invariants its outputs must keep,
+    or exit 1 with a message that starts with one of its inputs."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=60,
               deadline=None)
@@ -1200,32 +1161,35 @@ class TestDrawnInputs:
         sources, targets = files["c.src"], files["c.tgt"]
         aln, table = str(d / "c.aln"), str(d / "t.tsv")
 
-        assert self._run(["align", "--src", src, "--tgt", tgt, "--iters", iterations,
-                          "--out", aln, "--table", table], [src, tgt])
+        def passes(argv, *inputs):
+            """Whether ``argv`` exits 0; valid inputs are refused by exit 1 only."""
+            code, err = judged_run(argv, d, inputs)
+            assert code in (0, 1), err
+            return code == 0
+
+        assert passes(["align", "--src", src, "--tgt", tgt, "--iters", iterations,
+                       "--out", aln, "--table", table], src, tgt)
         _links_inside(_lines(aln), sources, targets)
 
         real = ["--real-src", src, "--real-tgt", tgt, "--real-align", aln]
         for extra in ([], real):
-            out = str(d / "m.json")
-            if self._run(["metrics", "--src", src, "--tgt", tgt, "--align", aln, *extra,
-                          "--out", out], [src, tgt, aln]):
-                _finite_json(out)
+            passes(["metrics", "--src", src, "--tgt", tgt, "--align", aln, *extra,
+                    "--out", str(d / "m.json")], src, tgt, aln)
 
         out_src, out_aln = str(d / "p.src"), str(d / "p.aln")
-        assert self._run(["preorder", "--src", src, "--tgt", tgt, "--align", aln,
-                          "--out-src", out_src, "--out-align", out_aln],
-                         [src, tgt, aln])
+        assert passes(["preorder", "--src", src, "--tgt", tgt, "--align", aln,
+                       "--out-src", out_src, "--out-align", out_aln], src, tgt, aln)
         reordered = _lines(out_src)
         assert [sorted(line.split()) for line in reordered] == [
             sorted(line.split()) for line in sources
         ]
         _links_inside(_lines(out_aln), reordered, targets)
 
-        out = str(d / "r.json")
-        if self._run(["report", "--real-src", src, "--real-tgt", tgt, "--distilled-src",
-                      out_src, "--distilled-tgt", tgt, "--iters", iterations, "--out", out],
-                     [src, tgt, out_src]):
-            assert sorted(_finite_json(out)) == ["distilled", "real"]
+        out = d / "r.json"
+        if passes(["report", "--real-src", src, "--real-tgt", tgt, "--distilled-src", out_src,
+                   "--distilled-tgt", tgt, "--iters", iterations, "--out", str(out)],
+                  src, tgt, out_src):
+            assert sorted(json.loads(out.read_text())) == ["distilled", "real"]
 
         kbest, lists = str(d / "k.txt"), {}
         for line in files["k.txt"]:
@@ -1233,9 +1197,9 @@ class TestDrawnInputs:
             lists.setdefault(int(sentence_id), []).append(tokens)
         for kind in ("nmt", "frs", "walign"):
             out, scores = str(d / f"{kind}.out"), str(d / f"{kind}.csv")
-            assert self._run(["select", "--kbest", kbest, "--ref", tgt, "--src", src,
-                              "--cxty", kind, "--table", table, "--out", out,
-                              "--scores", scores], [kbest, tgt, src, table])
+            assert passes(["select", "--kbest", kbest, "--ref", tgt, "--src", src,
+                           "--cxty", kind, "--table", table, "--out", out,
+                           "--scores", scores], kbest, tgt, src, table)
             picks = _lines(out)
             assert len(picks) == len(lists)
             assert all(pick in lists[n] for n, pick in enumerate(picks))
@@ -1245,17 +1209,16 @@ class TestDrawnInputs:
 
         preds = str(d / "p.jsonl")
         for extra in ([], ["--hyp", str(d / "h.txt"), "--ref", tgt]):
-            out = str(d / "c.json")
-            if self._run(["calibrate", "--preds", preds, *extra, "--out", out],
-                         [preds, *extra[1::2]]):
-                report = _finite_json(out)
+            out = d / "c.json"
+            if passes(["calibrate", "--preds", preds, *extra, "--out", str(out)],
+                      preds, *extra[1::2]):
+                report = json.loads(out.read_text())
                 assert sum(b["count"] for b in report["bins"]) == len(files["p.jsonl"])
 
         attn, out = str(d / "a.jsonl"), str(d / "curve.csv")
-        if self._run(["attn", "--attn", attn, "--out", out], [attn]):
+        if passes(["attn", "--attn", attn, "--out", out], attn):
             header, *rows = _csv_rows(out)
             assert [int(row[0]) for row in rows] == sorted({int(row[0]) for row in rows})
-            assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 # runs the bundled-data table into the directory argv[1] and prints the

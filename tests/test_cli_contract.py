@@ -1,23 +1,18 @@
 """The CLI's contract, fuzzed with malformed variants of the bundled files.
 
-Every run of a subcommand ends one of two ways. It exits 0, and every
-JSON output parses and no output holds a NaN or infinite cell; or it
-exits 1 or 2, with a last stderr line that starts with ``distillens: ``
-and one of the run's input paths followed by ``: ``, no traceback and no
-output file. Each variant changes one input file once: a line dropped,
-duplicated or blanked, a byte that is not UTF-8, a number replaced by
-``nan``, ``inf``, ``1e400`` or ``-1``, a stray tab, or in a JSON-lines
-file one member of a record copied to the end of its object. Where in the
-file is drawn from a ``random.Random`` seeded with the case's name, so
-every run tries the same variants. In a file whose lines carry a key, a
-duplicated line repeats its key, and the run must exit 1 naming the file,
-the line and the repeat. A repeated member must exit 1 naming the file,
-the line and the member.
+Every run goes through ``cli_judge.judged_run``, which holds the contract,
+with the run's input files as the inputs a refusal must name. Each
+variant changes one input file once: a line dropped, duplicated or
+blanked, a byte that is not UTF-8, a number replaced by ``nan``, ``inf``,
+``1e400`` or ``-1``, a stray tab, or in a JSON-lines file one member of a
+record copied to the end of its object. Where in the file is drawn from a
+``random.Random`` seeded with the case's name, so every run tries the same
+variants. In a file whose lines carry a key, a duplicated line repeats its
+key, and the run must exit 1 naming the file, the line and the repeat. A
+repeated member must exit 1 naming the file, the line and the member.
 """
 
-import csv
 import json
-import math
 import random
 import re
 import shutil
@@ -25,7 +20,8 @@ import shutil
 import pytest
 
 from distillens import bundled_data_dir
-from distillens.cli import run
+
+from cli_judge import judged_run
 
 # subcommand -> argv; a word naming a bundled file (or table.tsv, which
 # the fixture trains) is an input, and OUT. marks an output
@@ -132,43 +128,24 @@ def inputs(tmp_path_factory):
         shutil.copy(path, directory)
     argv = ["align", "--src", str(directory / "real.src"), "--tgt", str(directory / "real.tgt"),
             "--out", str(directory / "real.trained.aln"), "--table", str(directory / "table.tsv")]
-    assert run(argv) == 0
+    assert judged_run(argv, directory)[0] == 0
     return directory
 
 
-def _non_finite(cell):
-    try:
-        return not math.isfinite(float(cell))
-    except ValueError:
-        return False
-
-
-def _output_faults(path):
-    """What is wrong with one output of a run that exited 0."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        constants = []  # NaN, Infinity and -Infinity
-        try:
-            json.loads(text, parse_constant=constants.append)
-        except ValueError as exc:
-            return [f"{path.name} is not JSON: {exc}"]
-        return [f"{path.name} holds {constant}" for constant in constants]
-    if path.suffix == ".csv":
-        cells = [cell for row in csv.reader(text.splitlines()) for cell in row]
-    else:
-        cells = text.split()
-    return [f"{path.name} holds {cell!r}" for cell in cells if _non_finite(cell)]
-
-
 @pytest.mark.parametrize("subcommand", sorted(_RUNS))
-def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
+def test_every_variant_exits_cleanly(tmp_path, inputs, subcommand):
     words = _RUNS[subcommand].split()
     files = [word for word in words if (inputs / word).is_file()]
+    # the judge's root, tmp_path, holds every input of a run: copies of
+    # the unchanged files in kept/, and the changed one
+    (tmp_path / "kept").mkdir()
+    for name in files:
+        shutil.copy(inputs / name, tmp_path / "kept")
     faults = []
     cases = [(None, None)] + [(name, mutation) for name in files for mutation in _MUTATIONS]
     for name, mutation in cases:
         case = f"{subcommand} {name} {mutation}"
-        paths = {word: str(inputs / word) for word in files}
+        paths = {word: str(tmp_path / "kept" / word) for word in files}
         if name is not None:
             text = (inputs / name).read_text(encoding="utf-8")
             mutated = _MUTATIONS[mutation](text, random.Random(case))
@@ -177,26 +154,18 @@ def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
             paths[name] = str(tmp_path / name)
             (tmp_path / name).write_bytes(mutated.encode("utf-8", "surrogateescape"))
         out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
         argv = [
             paths.get(word, str(out / word[4:]) if word.startswith("OUT.") else word)
             for word in words
         ]
-        code = run(argv)
-        err = capsys.readouterr().err
+        try:
+            code, err = judged_run(argv, tmp_path, list(paths.values()))
+        except AssertionError as exc:
+            faults.append(f"{case}: {exc}")
+            continue
         last = err.splitlines()[-1] if err else ""
-        if "Traceback" in err:
-            faults.append(f"{case}: traceback")
-        if code == 0:
-            faults.extend(f"{case}: {fault}" for path in out.iterdir()
-                          for fault in _output_faults(path))
-        elif code not in (1, 2):
-            faults.append(f"{case}: exit {code}")
-        else:
-            if not any(last.startswith(f"distillens: {p}: ") for p in paths.values()):
-                faults.append(f"{case}: exit {code} with {last!r}")
-            if any(out.iterdir()):
-                faults.append(f"{case}: exit {code} left {sorted(p.name for p in out.iterdir())}")
         if mutation == "duplicate" and name in _KEYED:
             if code != 1 or not re.match(rf"distillens: {re.escape(paths[name])}: line \d+: "
                                          r"duplicate ", last):
@@ -207,5 +176,4 @@ def test_every_variant_exits_cleanly(tmp_path, capsys, inputs, subcommand):
                 faults.append(f"{case}: a repeated member exits {code} with {last!r}")
         if name is None and code != 0:
             faults.append(f"{case}: the unchanged files exit {code}: {last!r}")
-        shutil.rmtree(out)
     assert faults == []
