@@ -20,6 +20,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .aligner import (
+    NULL_TOKEN,
     TranslationTable,
     read_table,
     train_ibm1,
@@ -88,8 +89,22 @@ def _nonempty(records, path: str, what: str):
     return records
 
 
-def _read_corpus(src_path: str, tgt_path: str) -> ParallelCorpus:
-    return _nonempty(read_parallel_corpus(src_path, tgt_path), src_path, "sentences")
+def _read_corpus(src_path: str, tgt_path: str, em: bool = False) -> ParallelCorpus:
+    """The corpus, refused when empty; with ``em``, EM will train on it, so
+    its source side must not hold the NULL word."""
+    corpus = _nonempty(read_parallel_corpus(src_path, tgt_path), src_path, "sentences")
+    if em:
+        _refuse_null_word((pair.source for pair in corpus), src_path)
+    return corpus
+
+
+def _refuse_null_word(sentences: Iterable[tuple[str, ...]], path: str) -> None:
+    """Refuse a source word spelled like the aligner's NULL word: EM and
+    the table lookups would merge it into the NULL row."""
+    for line, sentence in enumerate(sentences, start=1):
+        if NULL_TOKEN in sentence:
+            message = f"the source word {NULL_TOKEN} is reserved for the aligner's NULL word"
+            raise FormatError(message, path=path, line=line)
 
 
 def _train_and_align(
@@ -140,7 +155,7 @@ def _write_reports(
 
 
 def _cmd_align(args: argparse.Namespace) -> None:
-    corpus = _read_corpus(args.src, args.tgt)
+    corpus = _read_corpus(args.src, args.tgt, em=True)
     table, alignments = _train_and_align(corpus, args.iters, "")
     write_alignments(alignments, args.out)
     if args.table is not None:
@@ -174,6 +189,8 @@ def _cmd_select(args: argparse.Namespace) -> None:
     lists = read_kbest(args.kbest)
     references = read_token_lines(args.ref)
     sources = read_token_lines(args.src)
+    if args.cxty != "nmt":
+        _refuse_null_word(sources, args.src)
     # one output line per k-best list, so ids 0..K-1 (read_kbest keeps
     # them in ascending order) keep the output line-parallel with the
     # first K lines of --src and --ref
@@ -254,8 +271,10 @@ def _cmd_attn(args: argparse.Namespace) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> None:
     check_smoothing(args.alpha)
-    real = _read_corpus(args.real_src, args.real_tgt)
-    distilled = _read_corpus(args.distilled_src, args.distilled_tgt)
+    real = _read_corpus(args.real_src, args.real_tgt, em=args.real_align is None)
+    distilled = _read_corpus(
+        args.distilled_src, args.distilled_tgt, em=args.distilled_align is None
+    )
     real_alignments = _alignments(real, args.real_align, args.real_src, args.iters, "real: ")
     distilled_alignments = _alignments(
         distilled, args.distilled_align, args.distilled_src, args.iters, "distilled: "

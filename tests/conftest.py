@@ -4,13 +4,21 @@ Collects the verdicts of the numbered acceptance tests and prints one
 line per criterion at the end of the run, so the overall contract
 status is readable without scanning the full test list.
 
+The benchmark's modules in perfbench/ import each other by bare name,
+so that directory goes on sys.path here: tests/test_cli.py runs the
+benchmark's invocations and output checks on drawn inputs.
+
 Property tests run under a derandomized `hypothesis` profile, so every
 run draws the same examples and any failure reproduces.
 """
 
 import re
+import sys
+from pathlib import Path
 
 from hypothesis import settings
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")

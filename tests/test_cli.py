@@ -4,6 +4,8 @@ Every in-process run goes through ``cli_judge.judged_run``, which holds
 the CLI's contract. Each refusal test writes its run as words over the
 placeholders of the ``files`` fixture, runs it through ``_refused``,
 which adds the exact exit code, and checks the message itself.
+``TestDrawnInputs`` runs the benchmark's invocations on drawn inputs
+and checks their outputs with perfbench/check.py, as the benchmark does.
 """
 
 import csv
@@ -25,8 +27,10 @@ import distillens
 from distillens import FormatError, bundled_data_dir, confidence_by_iteration, read_attention
 from distillens.calibration import MAX_BINS
 
+import check
 from bundled_runs import DIGESTS, argv, digest
 from cli_judge import judged_run
+from workloads import WORKLOADS, prepare_dirs
 
 
 def _run_pinned(out, *names):
@@ -89,8 +93,9 @@ def files(tmp_path, corpus_files):
     at least two lines long; P flags the tokens of S's first line, so
     calibrate needs no --hyp/--ref. E.* are empty; N.aln is a blank line
     per pair of S and T; L.src / L.tgt is a one-pair corpus that EM leaves
-    unlinked, since NULL wins its tie with "a". OUT, OUT2 and BAD are
-    paths that do not exist yet, and '' is the empty path.
+    unlinked, since NULL wins its tie with "a". NULL.src is S with line 2
+    the aligner's NULL word. OUT, OUT2 and BAD are paths that do not exist
+    yet, and '' is the empty path.
     """
     src, tgt, aln = corpus_files
     pred = ('{"sentence_id": 0, "position": %d, "token": "%s", "probability": 0.5, '
@@ -103,6 +108,7 @@ def files(tmp_path, corpus_files):
         "N.aln": "\n\n\n",
         "L.src": "a\n",
         "L.tgt": "x\n",
+        "NULL.src": "a b\n<NULL>\nb\n",
         **{f"E.{ext}": "" for ext in ("src", "tgt", "aln", "jsonl")},
     }
     return {
@@ -389,6 +395,26 @@ class TestLinklessAlignments:
         assert err.splitlines()[-1] == f"distillens: {files[named]}: holds no alignment links"
 
 
+class TestNullWord:
+    """EM and the table lookups would merge a source word spelled <NULL>
+    into the aligner's NULL row, so every source side the aligner reads
+    refuses it before EM prints a line. TestDrawnInputs draws it as a
+    target word, which no subcommand refuses."""
+
+    @pytest.mark.parametrize("words", [
+        "align --src NULL.src --tgt T --out OUT --table OUT2",
+        "report --real-src NULL.src --real-tgt T --distilled-src S --distilled-tgt T --out OUT",
+        "report --real-src S --real-tgt T --distilled-src NULL.src --distilled-tgt T --out OUT",
+        "select --kbest K --ref T --src NULL.src --cxty frs --table TSV --out OUT",
+        "select --kbest K --ref T --src NULL.src --cxty walign --table TSV --out OUT",
+    ], ids=["align", "report-real", "report-distilled", "select-frs", "select-walign"])
+    def test_refused_where_the_aligner_reads_it(self, files, words):
+        assert _refused(words, files, 1) == (
+            f"distillens: {files['NULL.src']}: line 2: "
+            "the source word <NULL> is reserved for the aligner's NULL word\n"
+        )
+
+
 # every output flag, given the empty path; the other outputs of the run
 # are real paths, and none of them may be written
 _EMPTY_OUTPUT_RUNS = {
@@ -548,10 +574,7 @@ class TestAlign:
                  "--out", str(out), "--table", str(table)], tmp_path
             )
             assert code == 0
-            lines = out.read_text().splitlines()
-            assert lines == ["0-0 1-1", "0-0", "0-0"]
-            rows = [line.split("\t") for line in table.read_text().splitlines()]
-            assert all(len(row) == 3 for row in rows)
+            assert out.read_text().splitlines() == ["0-0 1-1", "0-0", "0-0"]
             assert err.count("log-likelihood") == iters
 
 
@@ -1097,11 +1120,13 @@ class TestMetamorphic:
 
 @st.composite
 def _tiny_inputs(draw):
-    """A tiny parallel corpus; k-best lists for its first K pairs; drawn
-    hypothesis lines, line-parallel with its targets, with predictions at
-    some of their positions; and key-unique attention records."""
+    """A tiny parallel corpus, with <NULL> among its target words; k-best
+    lists for its first K pairs; drawn hypothesis lines, line-parallel
+    with its targets, with predictions at some of their positions; and
+    key-unique attention records, at least one. Returns each file's lines
+    by its path under the workload directories, and an EM round count."""
     src_words = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
-    tgt_words = st.sampled_from("wxyz"[: draw(st.integers(2, 4))])
+    tgt_words = st.sampled_from(("w", "x", "y", "<NULL>")[: draw(st.integers(2, 4))])
     size = draw(st.integers(1, 6))
 
     def lines(words):
@@ -1110,9 +1135,10 @@ def _tiny_inputs(draw):
 
     src, tgt, hyp = lines(src_words), lines(tgt_words), lines(tgt_words)
     hypotheses = st.lists(st.lists(tgt_words, min_size=1, max_size=6), min_size=1, max_size=4)
+    lists = draw(st.integers(1, size))
     kbest = [
         f"{sentence_id} ||| {' '.join(tokens)} ||| {draw(st.sampled_from([-3.0, -0.5]))}"
-        for sentence_id in range(draw(st.integers(1, size)))
+        for sentence_id in range(lists)
         for tokens in draw(hypotheses)
     ]
     predictions = []
@@ -1125,100 +1151,72 @@ def _tiny_inputs(draw):
                 if correct is not None:
                     record["correct"] = correct
                 predictions.append(json.dumps(record))
-    attention = [json.dumps(record) for record in draw(_attention_records(max_size=4))]
+    attention = [json.dumps(record) for record in draw(_attention_records(min_size=1, max_size=4))]
     iterations = draw(st.integers(1, 3))
-    return {"c.src": src, "c.tgt": tgt, "h.txt": hyp, "k.txt": kbest, "p.jsonl": predictions,
-            "a.jsonl": attention}, str(iterations)
-
-
-def _lines(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
-
-
-def _links_inside(alignment_lines, sources, targets):
-    assert len(alignment_lines) == len(sources) == len(targets)
-    for line, source, target in zip(alignment_lines, sources, targets):
-        for link in line.split():
-            i, j = map(int, link.split("-"))
-            assert 0 <= i < len(source.split()) and 0 <= j < len(target.split())
+    return {
+        "align-zipf/in/src.txt": src, "align-zipf/in/tgt.txt": tgt,
+        # one source and reference line per k-best list, as in the benchmark
+        "select-kbest/in/src.txt": src[:lists], "select-kbest/in/ref.txt": tgt[:lists],
+        "select-kbest/in/kbest.txt": kbest,
+        "calib-long/in/preds.jsonl": predictions, "calib-long/in/attn.jsonl": attention,
+        "calib-long/in/hyp.txt": hyp, "calib-long/in/ref.txt": tgt,
+    }, str(iterations)
 
 
 class TestDrawnInputs:
     """Every subcommand on tiny drawn valid inputs passes the judge, and
-    ends one of two ways: exit 0 with the invariants its outputs must keep,
-    or exit 1 with a message that starts with one of its inputs."""
+    exits 0, or 1 naming one of the files it reads. The inputs go under
+    the benchmark's file names, one directory per workload, and every
+    invocation of perfbench/workloads.py runs on them, then the runs the
+    benchmark does not make. After exit 0 each run's outputs keep the
+    invariants perfbench/check.py holds for the benchmark run it is
+    named after; report, which the benchmark never runs, keeps its own."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=60,
               deadline=None)
     @given(drawn=_tiny_inputs())
     def test_every_subcommand(self, tmp_path, drawn):
         files, iterations = drawn
-        d = Path(tempfile.mkdtemp(dir=tmp_path))
-        for name, lines in files.items():
-            _write(d / name, "".join(line + "\n" for line in lines))
-        src, tgt = str(d / "c.src"), str(d / "c.tgt")
-        sources, targets = files["c.src"], files["c.tgt"]
-        aln, table = str(d / "c.aln"), str(d / "t.tsv")
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        dirs = {name: prepare_dirs(str(root / name)) for name in WORKLOADS}
+        for path, lines in files.items():
+            _write(root / path, "".join(line + "\n" for line in lines))
 
-        def passes(argv, *inputs):
-            """Whether ``argv`` exits 0; valid inputs are refused by exit 1 only."""
-            code, err = judged_run(argv, d, inputs)
-            assert code in (0, 1), err
-            return code == 0
+        def judge(name, argv, in_dir=None, out_dir=None):
+            """Run argv and return its exit code; given the directories,
+            check its outputs as the benchmark run called name."""
+            argv = list(map(str, argv))
+            code, err = judged_run(argv, root, [arg for arg in argv if os.path.isfile(arg)])
+            # EM may link no word (metrics, report) or no prediction be drawn (calibrate)
+            assert code == 0 or (code == 1 and name in ("metrics", "report", "calibrate")), err
+            if code == 0 and in_dir is not None:
+                assert check.check_invocation(name, in_dir, out_dir, err) == []
+            return code
 
-        assert passes(["align", "--src", src, "--tgt", tgt, "--iters", iterations,
-                       "--out", aln, "--table", table], src, tgt)
-        _links_inside(_lines(aln), sources, targets)
+        zipf, kbest, calib = (root / name for name in ("align-zipf", "select-kbest", "calib-long"))
+        for workload in WORKLOADS.values():
+            in_dir, out_dir = dirs[workload.name]
+            for invocation in workload.invocations:
+                judge(invocation.name, invocation.argv(in_dir, out_dir), in_dir, out_dir)
+                if invocation.name == "align":  # in place of the generated gold and table
+                    (zipf / "in/gold.aln").write_bytes((zipf / "out/align.aln").read_bytes())
+                    (kbest / "in/table.tsv").write_bytes((zipf / "out/table.tsv").read_bytes())
 
-        real = ["--real-src", src, "--real-tgt", tgt, "--real-align", aln]
-        for extra in ([], real):
-            passes(["metrics", "--src", src, "--tgt", tgt, "--align", aln, *extra,
-                    "--out", str(d / "m.json")], src, tgt, aln)
-
-        out_src, out_aln = str(d / "p.src"), str(d / "p.aln")
-        assert passes(["preorder", "--src", src, "--tgt", tgt, "--align", aln,
-                       "--out-src", out_src, "--out-align", out_aln], src, tgt, aln)
-        reordered = _lines(out_src)
-        assert [sorted(line.split()) for line in reordered] == [
-            sorted(line.split()) for line in sources
-        ]
-        _links_inside(_lines(out_aln), reordered, targets)
-
-        out = d / "r.json"
-        if passes(["report", "--real-src", src, "--real-tgt", tgt, "--distilled-src", out_src,
-                   "--distilled-tgt", tgt, "--iters", iterations, "--out", str(out)],
-                  src, tgt, out_src):
-            assert sorted(json.loads(out.read_text())) == ["distilled", "real"]
-
-        kbest, lists = str(d / "k.txt"), {}
-        for line in files["k.txt"]:
-            sentence_id, tokens, _ = line.split(" ||| ")
-            lists.setdefault(int(sentence_id), []).append(tokens)
-        for kind in ("nmt", "frs", "walign"):
-            out, scores = str(d / f"{kind}.out"), str(d / f"{kind}.csv")
-            assert passes(["select", "--kbest", kbest, "--ref", tgt, "--src", src,
-                           "--cxty", kind, "--table", table, "--out", out,
-                           "--scores", scores], kbest, tgt, src, table)
-            picks = _lines(out)
-            assert len(picks) == len(lists)
-            assert all(pick in lists[n] for n, pick in enumerate(picks))
-            header, *rows = _csv_rows(scores)
-            selected = [int(row[0]) for row in rows if row[header.index("selected")] == "1"]
-            assert selected == list(range(len(lists)))
-
-        preds = str(d / "p.jsonl")
-        for extra in ([], ["--hyp", str(d / "h.txt"), "--ref", tgt]):
-            out = d / "c.json"
-            if passes(["calibrate", "--preds", preds, *extra, "--out", str(out)],
-                      preds, *extra[1::2]):
-                report = json.loads(out.read_text())
-                assert sum(b["count"] for b in report["bins"]) == len(files["p.jsonl"])
-
-        attn, out = str(d / "a.jsonl"), str(d / "curve.csv")
-        if passes(["attn", "--attn", attn, "--out", out], attn):
-            header, *rows = _csv_rows(out)
-            assert [int(row[0]) for row in rows] == sorted({int(row[0]) for row in rows})
+        # then the runs the benchmark does not make, writing to root
+        src, tgt = zipf / "in/src.txt", zipf / "in/tgt.txt"
+        judge("metrics", ["metrics", "--src", src, "--tgt", tgt, "--align", zipf / "out/align.aln",
+                          "--out", root / "metrics.json"], zipf / "in", root)
+        # on all n source and reference lines, so K < n is drawn too
+        judge("select_walign", ["select", "--kbest", kbest / "in/kbest.txt", "--ref", tgt,
+                                "--src", src, "--cxty", "frs", "--table", kbest / "in/table.tsv",
+                                "--out", root / "select_walign.txt",
+                                "--scores", root / "scores.csv"], kbest / "in", root)
+        judge("calibrate", ["calibrate", "--preds", calib / "in/preds.jsonl",
+                            "--out", root / "calibrate.json"], calib / "in", root)
+        if judge("report", ["report", "--real-src", src, "--real-tgt", tgt, "--distilled-tgt", tgt,
+                            "--distilled-src", zipf / "out/preorder.src",
+                            "--iters", iterations, "--out", root / "report.json"]) == 0:
+            assert sorted(json.loads((root / "report.json").read_text())) == ["distilled", "real"]
 
 
 # runs the bundled-data table into the directory argv[1] and prints the

@@ -9,7 +9,6 @@ import pickle
 import pkgutil
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -243,24 +242,23 @@ def test_bundled_data_is_what_its_generator_writes(tmp_path):
 
 
 def test_ci_checks_the_installed_attn_against_the_pin(tmp_path):
-    """CI runs the installed package's attn on the bundled export, then a
-    script that checks that attn.csv and every other bundled run against
-    DIGESTS. That script passes here, with src/ standing in for the
-    installed copy and a directory outside it for the checkout."""
+    """CI runs the installed package's attn on the bundled export, then
+    tests/check_installed.py, which checks attn.csv and every other
+    bundled run against DIGESTS. That script passes here, with src/
+    standing in for the installed copy and a directory outside it for
+    the checkout."""
     package_dir = Path(distillens.__file__).parent
-    workflow = package_dir.parents[1] / ".github" / "workflows" / "tests.yml"
-    step = workflow.read_text().split("python - <<'EOF'\n", 1)[1]
-    step = step.split("\n          EOF\n", 1)[0]
-    assert 'digest(Path("attn.csv").read_bytes()) == DIGESTS["attn.csv"]' in step
+    root = package_dir.parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    assert '\n          python "$GITHUB_WORKSPACE/tests/check_installed.py"\n' in workflow
     attn = package_dir / "data" / "demo.attn.jsonl"
-    tests_dir = package_dir.parents[1] / "tests"
     env = dict(os.environ, GITHUB_WORKSPACE=str(tmp_path / "checkout"),
-               PYTHONPATH=os.pathsep.join([str(tests_dir), str(package_dir.parent)]))
+               PYTHONPATH=str(package_dir.parent))
     subprocess.run(
         [sys.executable, "-m", "distillens", "attn", "--attn", str(attn), "--out", "attn.csv"],
         check=True, env=env, cwd=tmp_path, capture_output=True,
     )
-    result = subprocess.run([sys.executable, "-c", textwrap.dedent(step)],
+    result = subprocess.run([sys.executable, str(root / "tests" / "check_installed.py")],
                             env=env, cwd=tmp_path, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"True {len(DIGESTS)}\n"
