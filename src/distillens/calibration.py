@@ -59,10 +59,6 @@ class CalibrationReport(NamedTuple):
     ece: float
     bins: tuple[Bin, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(b.count for b in self.bins)
-
     def to_dict(self) -> dict:
         bins = [b._asdict() for b in self.bins]
         return {**self._asdict(), "bins": bins, "n_bins": len(self.bins)}

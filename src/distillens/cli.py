@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -343,38 +344,29 @@ def _bin_count(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    def group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        return argparse.ArgumentParser(add_help=False, parents=list(parents))
-
-    common = group()
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help="accepted for compatibility; has no effect",
-    )
-    source = group()
-    source.add_argument("--src", required=True, help="source token file")
-    corpus = group(source)
-    corpus.add_argument("--tgt", required=True, help="target token file")
-    aligned = group(corpus)
-    aligned.add_argument("--align", required=True, help="alignment file")
-    em = group()
-    em.add_argument(
-        "--iters",
+# each flag that more than one subcommand takes, stated once
+_SHARED_FLAGS = {
+    "--threads": dict(
+        type=_positive_int, default=None, help="accepted for compatibility; has no effect"
+    ),
+    "--src": dict(required=True, help="source token file"),
+    "--tgt": dict(required=True, help="target token file"),
+    "--align": dict(required=True, help="alignment file"),
+    "--iters": dict(
         type=_positive_int,
         default=10,
         help="EM iterations when training alignments (default %(default)s)",
-    )
-    smoothing = group()
-    smoothing.add_argument(
-        "--alpha",
+    ),
+    "--alpha": dict(
         type=float,
         default=DEFAULT_SMOOTHING,
         help="additive smoothing for faithfulness (default %(default)s)",
-    )
+    ),
+}
 
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distillens",
         description="Corpus-complexity, distillation-selection and "
@@ -382,12 +374,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, parents=()) -> argparse.ArgumentParser:
-        command_parser = sub.add_parser(name, parents=[common, *parents], help=help)
+    def command(name, func, help, shared=()) -> argparse.ArgumentParser:
+        command_parser = sub.add_parser(name, help=help)
+        for flag in ("--threads", *shared):
+            command_parser.add_argument(flag, **_SHARED_FLAGS[flag])
         command_parser.set_defaults(func=func, parser=command_parser, outputs=[])
         return command_parser
 
     def output(command_parser, flag, help, required=True) -> None:
+        # the outputs default is filled while the parser is built, and only read after
         action = command_parser.add_argument(flag, required=required, type=_output_path, help=help)
         command_parser.get_default("outputs").append(action)
 
@@ -395,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "align",
         _cmd_align,
         "train a word-translation table and alignments by EM",
-        [corpus, em],
+        ("--src", "--tgt", "--iters"),
     )
     output(p_align, "--out", "output alignment file")
     output(p_align, "--table", "also write the table as TSV", required=False)
@@ -404,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "metrics",
         _cmd_metrics,
         "complexity metrics for one aligned corpus",
-        [aligned, smoothing],
+        ("--src", "--tgt", "--align", "--alpha"),
     )
     p_metrics.add_argument(
         "--real-src", help="source file of the reference (real) corpus"
@@ -422,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "select",
         _cmd_select,
         "pick distilled references from k-best lists",
-        [source],
+        ("--src",),
     )
     p_select.add_argument("--kbest", required=True, help="k-best list file")
     p_select.add_argument("--ref", required=True, help="reference token file")
@@ -449,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "preorder",
         _cmd_preorder,
         "reorder source tokens monotonically with the target",
-        [aligned],
+        ("--src", "--tgt", "--align"),
     )
     output(p_preorder, "--out-src", "reordered source token file")
     output(p_preorder, "--out-align", "re-indexed alignment file")
@@ -486,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report",
         _cmd_report,
         "side-by-side metrics for a real and a distilled corpus",
-        [smoothing, em],
+        ("--alpha", "--iters"),
     )
     p_report.add_argument("--real-src", required=True, help="real source file")
     p_report.add_argument("--real-tgt", required=True, help="real target file")

@@ -83,6 +83,21 @@ def test_formats_name_every_output_flag():
     }
 
 
+
+def test_one_parser_serves_every_run(tmp_path):
+    """cli.run builds its parser once per process, and a run does not leave
+    state in it: a refusal right after a good run of the same subcommand
+    still names the two flags and changes nothing."""
+    assert cli._build_parser() is cli._build_parser()
+    (tmp_path / "c.src").write_text("a b\nb\n")
+    (tmp_path / "c.tgt").write_text("x y\ny\n")
+    src, tgt, out, table = (str(tmp_path / name) for name in ("c.src", "c.tgt", "c.aln", "t.tsv"))
+    align = ["align", "--src", src, "--tgt", tgt, "--out", out, "--table"]
+    assert judged_run([*align, table], tmp_path)[0] == 0
+    code, err = judged_run([*align, out], tmp_path)
+    assert code == 2
+    assert err.endswith("error: --out and --table name the same file\n")
+
 def _cli_run_uses(path):
     """The lines of ``path`` that import distillens.cli.run, or read run
     off a name bound to the module distillens.cli."""

@@ -110,7 +110,6 @@ def test_modules_import_no_name_they_never_read():
 SUM_USES = {
     ("corpus_io.py", None, "_add_in_order = sum"),
     ("aligner.py", "write_table", "sum(values)"),
-    ("calibration.py", "total", "sum((b.count for b in self.bins))"),
     ("calibration.py", "expected_calibration_error", "sum(correct_counts)"),
     ("complexity.py", "distribution", "sum(row.values())"),
 }
