@@ -4,6 +4,8 @@ tests run the CLI in process."""
 
 import argparse
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,7 +85,6 @@ def test_formats_name_every_output_flag():
     }
 
 
-
 def test_one_parser_serves_every_run(tmp_path):
     """cli.run builds its parser once per process, and a run does not leave
     state in it: a refusal right after a good run of the same subcommand
@@ -97,6 +98,40 @@ def test_one_parser_serves_every_run(tmp_path):
     code, err = judged_run([*align, out], tmp_path)
     assert code == 2
     assert err.endswith("error: --out and --table name the same file\n")
+
+
+def test_parser_is_built_by_run_not_by_import():
+    """Importing distillens.cli builds no parser, so a CLI process pays
+    for the build only when it runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    probe = "import distillens.cli as c; print(c._build_parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe],
+                            check=True, env=env, capture_output=True, text=True)
+    assert result.stdout == "0\n"
+
+
+# each subcommand's options, in the order its usage line and --help list them
+_OPTIONS = {
+    "align": "--threads --src --tgt --iters --out --table",
+    "metrics": "--threads --src --tgt --align --alpha --real-src --real-tgt --real-align "
+               "--out --csv",
+    "select": "--threads --src --kbest --ref --lambda --cxty --table --out --scores",
+    "preorder": "--threads --src --tgt --align --out-src --out-align",
+    "calibrate": "--threads --preds --hyp --ref --bins --out",
+    "attn": "--threads --attn --out",
+    "report": "--threads --alpha --iters --real-src --real-tgt --distilled-src --distilled-tgt "
+              "--real-align --distilled-align --out --csv",
+}
+
+
+def test_every_subcommand_keeps_its_options_in_order():
+    parser = cli._build_parser()
+    [subcommands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {
+        name: " ".join(a.option_strings[0] for a in command._actions if a.option_strings[0] != "-h")
+        for name, command in subcommands.choices.items()
+    } == _OPTIONS
+
 
 def _cli_run_uses(path):
     """The lines of ``path`` that import distillens.cli.run, or read run
