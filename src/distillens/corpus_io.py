@@ -546,62 +546,53 @@ def write_token_predictions(records: Sequence[TokenPredictionRecord], path: str)
 # attention exports
 
 
-def _check_attention(raw: str) -> tuple[int, int, int, list[tuple[list[float], float]]] | None:
-    """Check one attention line: None for a blank line, else its sentence
-    id, iteration and head, and each row's float weights with their total."""
-    if not raw.strip():
-        return None
-    obj = _load_json_line(raw)
-    sentence_id = _require_int(obj, "sentence_id", 0)
-    iteration = _require_int(obj, "iteration", 1)
-    head = _require_int(obj, "head", 0)
-    weights = obj.get("weights")
-    if not isinstance(weights, list) or not weights:
-        raise FormatError("field 'weights' must be a non-empty matrix")
-    rows = []
-    # a first row that is not a list fails the first check below
-    width = len(weights[0]) if isinstance(weights[0], list) else 0
-    for row in weights:
-        if not isinstance(row, list) or not row:
-            raise FormatError("attention rows must be non-empty lists")
-        if len(row) != width:
-            raise FormatError("attention rows must all have the same length")
-        # whole-row checks at C speed; type() also rules out bool
-        kinds = set(map(type, row))
-        if not kinds <= {int, float}:
-            raise FormatError("attention weights must be numbers")
-        values = row  # JSON gives floats; only a row holding an int is converted
-        if int in kinds:
-            try:
-                values = list(map(float, row))
-            except OverflowError:  # a JSON integer too large for a float
-                raise FormatError("attention weight is too large") from None
-        total = _add_in_order(values)
-        if not (min(values) >= 0.0 and math.isfinite(total)):
-            for value, weight in zip(values, row):
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise FormatError(f"attention weight {weight} must be finite and >= 0")
-        # a finite row whose sum overflows fails here as "sums to inf"
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise FormatError(
-                f"attention row sums to {total!r}, more than "
-                f"{ROW_SUM_TOLERANCE} away from 1"
-            )
-        rows.append((values, total))
-    return sentence_id, iteration, head, rows
-
-
 def _attention_parser(build: Callable[[int, int, int, list], object]) -> Callable[[str], object]:
     """A line parser for one attention file: ``build(sentence_id, iteration,
-    head, rows)`` from each line that _check_attention accepts. It refuses
-    a (sentence, iteration, head) key that an earlier line of that file held."""
+    head, rows)`` from each line it accepts, where rows holds each row's
+    float weights with their total. It refuses a (sentence, iteration,
+    head) key that an earlier line of that file held."""
     seen_keys: set[tuple[int, int, int]] = set()
 
     def parse_line(raw: str) -> object:
-        checked = _check_attention(raw)
-        if checked is None:
+        if not raw.strip():
             return None
-        sentence_id, iteration, head, rows = checked
+        obj = _load_json_line(raw)
+        sentence_id = _require_int(obj, "sentence_id", 0)
+        iteration = _require_int(obj, "iteration", 1)
+        head = _require_int(obj, "head", 0)
+        weights = obj.get("weights")
+        if not isinstance(weights, list) or not weights:
+            raise FormatError("field 'weights' must be a non-empty matrix")
+        rows = []
+        # a first row that is not a list fails the first check below
+        width = len(weights[0]) if isinstance(weights[0], list) else 0
+        for row in weights:
+            if not isinstance(row, list) or not row:
+                raise FormatError("attention rows must be non-empty lists")
+            if len(row) != width:
+                raise FormatError("attention rows must all have the same length")
+            # whole-row checks at C speed; type() also rules out bool
+            kinds = set(map(type, row))
+            if not kinds <= {int, float}:
+                raise FormatError("attention weights must be numbers")
+            values = row  # JSON gives floats; only a row holding an int is converted
+            if int in kinds:
+                try:
+                    values = list(map(float, row))
+                except OverflowError:  # a JSON integer too large for a float
+                    raise FormatError("attention weight is too large") from None
+            total = _add_in_order(values)
+            if not (min(values) >= 0.0 and math.isfinite(total)):
+                for value, weight in zip(values, row):
+                    if not (math.isfinite(value) and value >= 0.0):
+                        raise FormatError(f"attention weight {weight} must be finite and >= 0")
+            # a finite row whose sum overflows fails here as "sums to inf"
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                raise FormatError(
+                    f"attention row sums to {total!r}, more than "
+                    f"{ROW_SUM_TOLERANCE} away from 1"
+                )
+            rows.append((values, total))
         key = (sentence_id, iteration, head)
         if key in seen_keys:
             raise FormatError(

@@ -34,7 +34,7 @@ CRITERIA = {
     8: "attention confidence hand cases",
     9: "monotone preorder: FRS 1.0 on one-to-one corpora, idempotent",
     10: "report reproduces the distilled-vs-real complexity directions",
-    11: "every bundled-data run writes its pinned bytes, repeated and threaded",
+    11: "every bundled-data run writes its pinned bytes, threaded, under hash seeds 1 and 2",
 }
 
 _NODE = re.compile(r"test_acceptance\.py::.*criterion_(\d+)")

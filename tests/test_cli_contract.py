@@ -1,44 +1,35 @@
 """The CLI's contract, fuzzed with malformed variants of the bundled files.
 
-Every run goes through ``cli_judge.judged_run``, which holds the contract,
-with the run's input files as the inputs a refusal must name. Each
-variant changes one input file once: a line dropped, duplicated or
+Every entry of ``bundled_runs.RUNS`` is fuzzed. A word after an output
+flag of ``cli_judge.FORMATS`` is an output, and every other ``{D}/`` or
+``{O}/`` word is an input; ``{O}/table.tsv`` comes from one ``run_all``
+for the module. Every run goes through ``cli_judge.judged_run``, which
+holds the contract, with the run's input files as the inputs a refusal
+must name. The runs of one entry share one output directory, which the
+unchanged run fills first, so every refusal must leave its outputs as
+they were.
+
+Each variant changes one input file once: a line dropped, duplicated or
 blanked, a byte that is not UTF-8, a number replaced by ``nan``, ``inf``,
 ``1e400`` or ``-1``, a stray tab, or in a JSON-lines file one member of a
 record copied to the end of its object. Where in the file is drawn from a
 ``random.Random`` seeded with the case's name, so every run tries the same
-variants. In a file whose lines carry a key, a duplicated line repeats its
-key, and the run must exit 1 naming the file, the line and the repeat. A
-repeated member must exit 1 naming the file, the line and the member.
+variants. The byte that is not UTF-8 must exit 1 with the one line
+``distillens: <file>: line N: not valid UTF-8``, N being its line. In a
+file whose lines carry a key, a duplicated line repeats its key, and the
+run must exit 1 naming the file, the line and the repeat. A repeated
+member must exit 1 naming the file, the line and the member.
 """
 
 import json
 import random
 import re
-import shutil
+from pathlib import Path
 
 import pytest
 
-from distillens import bundled_data_dir
-
-from cli_judge import judged_run
-
-# subcommand -> argv; a word naming a bundled file (or table.tsv, which
-# the fixture trains) is an input, and OUT. marks an output
-_RUNS = {
-    "align": "align --src real.src --tgt real.tgt --iters 2 --out OUT.aln --table OUT.tsv",
-    "metrics": "metrics --src distilled.src --tgt distilled.tgt --align distilled.aln "
-    "--real-src real.src --real-tgt real.tgt --real-align real.aln --out OUT.json --csv OUT.csv",
-    "select": "select --kbest demo.kbest --ref demo.ref --src real.src --cxty walign "
-    "--table table.tsv --out OUT.out --scores OUT.csv",
-    "preorder": "preorder --src real.src --tgt real.tgt --align real.aln "
-    "--out-src OUT.src --out-align OUT.aln",
-    "calibrate": "calibrate --preds demo.preds.jsonl --hyp demo.hyp --ref demo.ref --out OUT.json",
-    "attn": "attn --attn demo.attn.jsonl --out OUT.csv",
-    "report": "report --real-src real.src --real-tgt real.tgt --real-align real.aln "
-    "--distilled-src distilled.src --distilled-tgt distilled.tgt --iters 2 "
-    "--out OUT.json --csv OUT.csv",
-}
+from bundled_runs import DATA, RUNS, run_all
+from cli_judge import FORMATS, judged_run
 
 # files in which a key may appear on one line only: (sentence, position)
 # for predictions, (sentence, iteration, head) for attention
@@ -121,59 +112,54 @@ _MUTATIONS = {
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """The bundled files, and a table trained on the real corpus."""
-    directory = tmp_path_factory.mktemp("inputs")
-    for path in bundled_data_dir().iterdir():
-        shutil.copy(path, directory)
-    argv = ["align", "--src", str(directory / "real.src"), "--tgt", str(directory / "real.tgt"),
-            "--out", str(directory / "real.trained.aln"), "--table", str(directory / "table.tsv")]
-    assert judged_run(argv, directory)[0] == 0
-    return directory
+def bundled(tmp_path_factory):
+    """The output directory of every bundled run, table.tsv among them."""
+    out = tmp_path_factory.mktemp("bundled") / "out"
+    run_all(out)
+    return out
 
 
-@pytest.mark.parametrize("subcommand", sorted(_RUNS))
-def test_every_variant_exits_cleanly(tmp_path, inputs, subcommand):
-    words = _RUNS[subcommand].split()
-    files = [word for word in words if (inputs / word).is_file()]
-    # the judge's root, tmp_path, holds every input of a run: copies of
-    # the unchanged files in kept/, and the changed one
-    (tmp_path / "kept").mkdir()
-    for name in files:
-        shutil.copy(inputs / name, tmp_path / "kept")
+@pytest.mark.parametrize("run", RUNS)
+def test_every_variant_exits_cleanly(tmp_path, bundled, run):
+    words = RUNS[run].split()
+    outputs = {word for flag, word in zip(words, words[1:]) if (words[0], flag) in FORMATS}
+    inputs = {word: word.format(D=DATA, O=bundled) for word in words
+              if word not in outputs and word.startswith(("{D}/", "{O}/"))}
+    # the judge's root, tmp_path, holds the changed input and the outputs
+    out = tmp_path / "out"
+    out.mkdir()
     faults = []
-    cases = [(None, None)] + [(name, mutation) for name in files for mutation in _MUTATIONS]
-    for name, mutation in cases:
-        case = f"{subcommand} {name} {mutation}"
-        paths = {word: str(tmp_path / "kept" / word) for word in files}
-        if name is not None:
-            text = (inputs / name).read_text(encoding="utf-8")
+    cases = [(None, None)] + [(word, mutation) for word in inputs for mutation in _MUTATIONS]
+    for word, mutation in cases:
+        paths = dict(inputs)
+        case = f"{run} {word} {mutation}"
+        if word is not None:
+            text = Path(inputs[word]).read_text(encoding="utf-8")
             mutated = _MUTATIONS[mutation](text, random.Random(case))
             if mutated is None:  # no number to replace, or no JSON object
                 continue
-            paths[name] = str(tmp_path / name)
-            (tmp_path / name).write_bytes(mutated.encode("utf-8", "surrogateescape"))
-        out = tmp_path / "out"
-        shutil.rmtree(out, ignore_errors=True)
-        out.mkdir()
-        argv = [
-            paths.get(word, str(out / word[4:]) if word.startswith("OUT.") else word)
-            for word in words
-        ]
+            paths[word] = str(tmp_path / Path(word).name)
+            data = mutated.encode("utf-8", "surrogateescape")
+            Path(paths[word]).write_bytes(data)
+        argv = [paths[word] if word in paths else word.format(O=out) for word in words]
         try:
             code, err = judged_run(argv, tmp_path, list(paths.values()))
         except AssertionError as exc:
             faults.append(f"{case}: {exc}")
             continue
         last = err.splitlines()[-1] if err else ""
-        if mutation == "duplicate" and name in _KEYED:
-            if code != 1 or not re.match(rf"distillens: {re.escape(paths[name])}: line \d+: "
+        if mutation == "non-utf8":
+            line = data[: data.index(b"\xff")].count(b"\n") + 1
+            if (code, err) != (1, f"distillens: {paths[word]}: line {line}: not valid UTF-8\n"):
+                faults.append(f"{case}: a byte on line {line} exits {code} with {err!r}")
+        if mutation == "duplicate" and Path(word).name in _KEYED:
+            if code != 1 or not re.match(rf"distillens: {re.escape(paths[word])}: line \d+: "
                                          r"duplicate ", last):
                 faults.append(f"{case}: a repeated key exits {code} with {last!r}")
         if mutation == "repeat member":
-            if code != 1 or not re.match(rf"distillens: {re.escape(paths[name])}: line \d+: "
+            if code != 1 or not re.match(rf"distillens: {re.escape(paths[word])}: line \d+: "
                                          r"field '\w+' appears twice$", last):
                 faults.append(f"{case}: a repeated member exits {code} with {last!r}")
-        if name is None and code != 0:
+        if word is None and code != 0:
             faults.append(f"{case}: the unchanged files exit {code}: {last!r}")
     assert faults == []
