@@ -19,6 +19,10 @@ variants. The byte that is not UTF-8 must exit 1 with the one line
 file whose lines carry a key, a duplicated line repeats its key, and the
 run must exit 1 naming the file, the line and the repeat. A repeated
 member must exit 1 naming the file, the line and the member.
+
+A variant that changes nothing is skipped, so one test per mutation
+checks that it changes every input it must. One test per run checks that
+the unchanged run wrote its pinned bytes, which every refusal keeps.
 """
 
 import json
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from bundled_runs import DATA, RUNS, run_all
+from bundled_runs import DATA, DIGESTS, RUNS, run_all
 from cli_judge import FORMATS, judged_run
 
 # files in which a key may appear on one line only: (sentence, position)
@@ -111,20 +115,67 @@ _MUTATIONS = {
 }
 
 
+# the inputs that a number mutation, or a repeated member, must change;
+# every other mutation must change every input. A mutation that changed
+# fewer would leave the fuzzer blind there.
+_REACH = {
+    **dict.fromkeys(("nan", "inf", "1e400", "-1"), {
+        "demo.attn.jsonl", "demo.kbest", "demo.preds.jsonl", "distilled.aln", "real.aln",
+        "table.tsv",
+    }),
+    "repeat member": set(_KEYED),
+}
+
+
 @pytest.fixture(scope="module")
 def bundled(tmp_path_factory):
-    """The output directory of every bundled run, table.tsv among them."""
+    """The output directory of every bundled run, table.tsv among them, and
+    the digests of what the runs wrote."""
     out = tmp_path_factory.mktemp("bundled") / "out"
-    run_all(out)
-    return out
+    return out, run_all(out)
+
+
+def _words(run, out):
+    """The words of RUNS[run], its output words, and its input words with
+    their paths, ``{O}`` being ``out``."""
+    words = RUNS[run].split()
+    outputs = {word for flag, word in zip(words, words[1:]) if (words[0], flag) in FORMATS}
+    inputs = {word: word.format(D=DATA, O=out) for word in words
+              if word not in outputs and word.startswith(("{D}/", "{O}/"))}
+    return words, outputs, inputs
+
+
+def _mutate(run, word, mutation, text):
+    """The variant's text, or None where the mutation finds nothing to change."""
+    return _MUTATIONS[mutation](text, random.Random(f"{run} {word} {mutation}"))
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_unchanged_run_writes_its_pins(bundled, run):
+    out, digests = bundled
+    names = [Path(word).name for word in _words(run, out)[1]] + [f"{run} stderr"]
+    assert {name: digests.get(name) for name in names} == {
+        name: DIGESTS.get(name) for name in names
+    }
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+def test_mutation_changes_its_inputs(bundled, mutation):
+    changed, expected = set(), set()
+    for run in RUNS:
+        for word, path in _words(run, bundled[0])[2].items():
+            name = Path(word).name
+            text = Path(path).read_text(encoding="utf-8")
+            if _mutate(run, word, mutation, text) not in (None, text):
+                changed.add((run, name))
+            if name in _REACH.get(mutation, {name}):
+                expected.add((run, name))
+    assert changed == expected
 
 
 @pytest.mark.parametrize("run", RUNS)
 def test_every_variant_exits_cleanly(tmp_path, bundled, run):
-    words = RUNS[run].split()
-    outputs = {word for flag, word in zip(words, words[1:]) if (words[0], flag) in FORMATS}
-    inputs = {word: word.format(D=DATA, O=bundled) for word in words
-              if word not in outputs and word.startswith(("{D}/", "{O}/"))}
+    words, _outputs, inputs = _words(run, bundled[0])
     # the judge's root, tmp_path, holds the changed input and the outputs
     out = tmp_path / "out"
     out.mkdir()
@@ -134,8 +185,7 @@ def test_every_variant_exits_cleanly(tmp_path, bundled, run):
         paths = dict(inputs)
         case = f"{run} {word} {mutation}"
         if word is not None:
-            text = Path(inputs[word]).read_text(encoding="utf-8")
-            mutated = _MUTATIONS[mutation](text, random.Random(case))
+            mutated = _mutate(run, word, mutation, Path(inputs[word]).read_text(encoding="utf-8"))
             if mutated is None:  # no number to replace, or no JSON object
                 continue
             paths[word] = str(tmp_path / Path(word).name)

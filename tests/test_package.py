@@ -135,22 +135,31 @@ def test_floats_are_never_added_with_builtin_sum():
     assert set().union(*map(_sum_uses, paths)) == SUM_USES
 
 
-def test_importing_the_cli_leaves_out():
+_LEFT_OUT = ["importlib.resources", "dataclasses", "inspect",
+             "tempfile", "shutil", "random", "bz2", "lzma"]
+
+
+@pytest.fixture(scope="module")
+def cli_imports():
+    """Which of _LEFT_OUT ``import distillens.cli`` loads, from one probe."""
+    package_dir = Path(distillens.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package_dir.parent))
+    probe = f"import sys, distillens.cli; print(*[m for m in {_LEFT_OUT!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    return result.stdout.split()
+
+
+@pytest.mark.parametrize("module", _LEFT_OUT)
+def test_importing_the_cli_leaves_out(cli_imports, module):
     """Only bundled_data_dir needs importlib.resources, and no subcommand
     calls it; the records are built without dataclasses, which would pull
     in inspect; atomic_write creates its temp file with open(), not
     tempfile, which would pull in shutil, random, bz2 and lzma. -S keeps
     the host's site hooks from importing any of them first."""
-    modules = ["importlib.resources", "dataclasses", "inspect",
-               "tempfile", "shutil", "random", "bz2", "lzma"]
-    package_dir = Path(distillens.__file__).parent
-    env = dict(os.environ, PYTHONPATH=str(package_dir.parent))
-    probe = f"import sys, distillens.cli; print([m for m in {modules!r} if m in sys.modules])"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        check=True, env=env, capture_output=True, text=True,
-    )
-    assert result.stdout == "[]\n"
+    assert module not in cli_imports
 
 
 # each record with two sets of field values that differ in every field
