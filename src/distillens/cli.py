@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import marshal
 import os
 import sys
 from typing import Iterable, Sequence
@@ -63,6 +64,7 @@ from .selection import (
     ScoredHypothesis,
     SelectionConfig,
     _best_rank,
+    _similarities,
     score_hypotheses,
 )
 
@@ -151,6 +153,63 @@ def _write_reports(
         _write_csv(header, rows, args.csv)
 
 
+def _fork_similarities(lists: dict, references: list) -> tuple[int, int] | None:
+    """Fork a child that computes every k-best list's similarities, the half
+    of scoring that needs no table, and writes them to a pipe as one
+    marshal blob, which keeps each float exact. Returns its pid and the
+    pipe's read end, or None where no child can start: no os.fork, another
+    thread running (the child could find one of its locks held), or a
+    failing os.pipe or os.fork. The caller then computes them itself."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
+        return None
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child never returns into the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            sims = [_similarities(kbest.entries, references[i]) for i, kbest in lists.items()]
+            blob = memoryview(marshal.dumps(sims))
+            while blob:
+                blob = blob[os.write(write_fd, blob):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap_similarities(child: tuple[int, int], kill: bool = False) -> list | None:
+    """Read the blob of ``_fork_similarities``'s child and reap the child,
+    killed first with ``kill``. Returns the similarities, or None when the
+    child was killed, exited non-zero or left a short blob."""
+    pid, read_fd = child
+    chunks = []
+    try:
+        if kill:
+            import signal  # imported here, so that only a refused run pays for it
+
+            os.kill(pid, signal.SIGKILL)
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        status = os.waitpid(pid, 0)[1]
+    try:
+        return marshal.loads(b"".join(chunks)) if status == 0 else None
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -203,15 +262,27 @@ def _cmd_select(args: argparse.Namespace) -> None:
             path=args.kbest,
         )
     table = None
+    sims = None
     if args.table is not None:
-        # store only the rows scoring can look up
-        hypothesis_words = {
-            y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
-        }
-        source_words = {x for sentence in sources for x in sentence}
-        table = read_table(args.table, keep=(source_words, hypothesis_words))
+        child = _fork_similarities(lists, references)
+        try:
+            # store only the rows scoring can look up
+            hypothesis_words = {
+                y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
+            }
+            source_words = {x for sentence in sources for x in sentence}
+            table = read_table(args.table, keep=(source_words, hypothesis_words))
+        except BaseException:
+            if child is not None:
+                _reap_similarities(child, kill=True)
+            raise
+        if child is not None:
+            sims = _reap_similarities(child)
     scored_lists = [
-        score_hypotheses(kbest, references[sentence_id], sources[sentence_id], config, table)
+        score_hypotheses(
+            kbest, references[sentence_id], sources[sentence_id], config, table,
+            sims=None if sims is None else sims[sentence_id],
+        )
         for sentence_id, kbest in lists.items()
     ]
     best_ranks = list(map(_best_rank, scored_lists))

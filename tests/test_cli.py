@@ -13,11 +13,13 @@ from ``bundled_runs``.
 
 import csv
 import json
+import marshal
 import os
 import random
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
@@ -708,6 +710,107 @@ class TestSelect:
         monkeypatch.setattr("distillens.cli.score_hypotheses", no_scoring)
         words = f"select --kbest K --ref T --src S --cxty {kind} --table '' --out OUT"
         assert _refused(words, files, 2) == "distillens: [Errno 2] No such file or directory: ''\n"
+
+
+def _no_child_left():
+    """Assert that this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child that os.fork starts in the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _fail(*args):
+    raise OSError("refused for the test")
+
+
+class TestSimilarityChild:
+    """select with --table computes its similarities in one forked child
+    while it reads the table, or in process when no child can do it;
+    either way it writes the pinned bytes and leaves no child behind."""
+
+    @staticmethod
+    def _assert_pinned(name, out):
+        """Run align, then the bundled run ``name``, into ``out``, and
+        assert that ``name`` writes its pins."""
+        for run in ("align", name):
+            code, err = judged_run(argv(run, out), out)
+            assert code == 0, err
+        kind = name.split()[1]
+        for output in (f"{kind}.out", f"{kind}.csv"):
+            assert digest((out / output).read_bytes()) == DIGESTS[output], output
+        _no_child_left()
+
+    @pytest.mark.parametrize("name", ["select frs", "select walign"])
+    def test_child_writes_the_pins(self, tmp_path, monkeypatch, forks, name):
+        """The parent scores with the child's similarities, computing none."""
+        monkeypatch.setattr("distillens.selection._similarities",
+                            lambda *args: pytest.fail("similarities computed in the parent"))
+        self._assert_pinned(name, tmp_path)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("name", ["select frs", "select walign"])
+    @pytest.mark.parametrize("cause", ["no fork", "fork fails", "pipe fails", "thread running"])
+    def test_in_process_writes_the_pins(self, tmp_path, monkeypatch, cause, name):
+        """Where no child can be started, the parent computes the
+        similarities; beside another thread, it does not even try."""
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if cause == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif cause == "thread running":
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+            thread.start()
+        else:
+            monkeypatch.setattr(os, cause.split()[0], _fail)
+        try:
+            self._assert_pinned(name, tmp_path)
+        finally:
+            stop.set()
+        if cause == "thread running":
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    @pytest.mark.parametrize("name", ["select frs", "select walign"])
+    @pytest.mark.parametrize("failure", ["raises", "short blob"])
+    def test_parent_scores_when_the_child_fails(self, tmp_path, monkeypatch, forks, failure, name):
+        """A child that raises exits 1 and writes nothing; one whose blob
+        is short exits 0. The parent computes the similarities itself."""
+        dumps = marshal.dumps
+        if failure == "raises":
+            monkeypatch.setattr(marshal, "dumps", lambda value: 1 / 0)
+        else:
+            monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
+        self._assert_pinned(name, tmp_path)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("a\tx\t0.5\nb\ty\t0.5\nb\tx\tnan\n", 1,
+         "{BAD}: line 3: probability must be finite and >= 0, got nan"),
+        (None, 2, "[Errno 2] No such file or directory: '{BAD}'"),
+    ], ids=["bad line", "no file"])
+    def test_refused_table_kills_the_child(self, files, forks, text, code, message):
+        if text is not None:
+            _write(files["BAD"], text)
+        words = "select --kbest K --ref T --src S --cxty walign --table BAD --out OUT"
+        assert _refused(words, files, code) == f"distillens: {message.format(**files)}\n"
+        assert len(forks) == 1
+        _no_child_left()
+
 
 class TestPreorder:
     def test_round_trip_and_fixed_point(self, tmp_path):

@@ -136,7 +136,8 @@ def test_floats_are_never_added_with_builtin_sum():
 
 
 _LEFT_OUT = ["importlib.resources", "dataclasses", "inspect",
-             "tempfile", "shutil", "random", "bz2", "lzma"]
+             "tempfile", "shutil", "random", "bz2", "lzma",
+             "multiprocessing", "concurrent.futures", "pickle", "threading"]
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +158,11 @@ def test_importing_the_cli_leaves_out(cli_imports, module):
     """Only bundled_data_dir needs importlib.resources, and no subcommand
     calls it; the records are built without dataclasses, which would pull
     in inspect; atomic_write creates its temp file with open(), not
-    tempfile, which would pull in shutil, random, bz2 and lzma. -S keeps
-    the host's site hooks from importing any of them first."""
+    tempfile, which would pull in shutil, random, bz2 and lzma. select
+    computes its similarities in a child started with os.fork and sends
+    them back with marshal, not through multiprocessing, concurrent.futures,
+    pickle or threading: every subcommand's set-up pays for each import.
+    -S keeps the host's site hooks from importing any of them first."""
     assert module not in cli_imports
 
 
