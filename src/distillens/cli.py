@@ -153,26 +153,29 @@ def _write_reports(
         _write_csv(header, rows, args.csv)
 
 
-def _fork_similarities(lists: dict, references: list) -> tuple[int, int] | None:
-    """Fork a child that computes every k-best list's similarities, the half
-    of scoring that needs no table, and writes them to a pipe as one
-    marshal blob, which keeps each float exact. Returns its pid and the
-    pipe's read end, or None where no child can start: no os.fork, another
-    thread running (the child could find one of its locks held), or a
-    failing os.pipe or os.fork. The caller then computes them itself."""
+def _read_table_beside_similarities(
+    path: str, keep: tuple[set, set], lists: dict, references: list
+) -> tuple[TranslationTable, list | None]:
+    """Read the table at ``path``, storing only the ``keep`` rows, while a
+    forked child computes every k-best list's similarities, the half of
+    scoring that needs no table, and writes them to a pipe as one marshal
+    blob, which keeps each float exact. The similarities are None where
+    no child can start (no os.fork, another thread running, whose locks
+    the child could find held, or a failing os.pipe or os.fork) or the
+    child failed; the caller computes them. A refused read kills the child."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
-        return None
+        return read_table(path, keep=keep), None
     try:
         read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
     except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
+        return read_table(path, keep=keep), None
     if pid == 0:  # the child never returns into the caller
         code = 1
         try:
@@ -185,29 +188,23 @@ def _fork_similarities(lists: dict, references: list) -> tuple[int, int] | None:
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap_similarities(child: tuple[int, int], kill: bool = False) -> list | None:
-    """Read the blob of ``_fork_similarities``'s child and reap the child,
-    killed first with ``kill``. Returns the similarities, or None when the
-    child was killed, exited non-zero or left a short blob."""
-    pid, read_fd = child
     chunks = []
     try:
-        if kill:
-            import signal  # imported here, so that only a refused run pays for it
-
-            os.kill(pid, signal.SIGKILL)
+        table = read_table(path, keep=keep)
         while chunk := os.read(read_fd, 1 << 16):
             chunks.append(chunk)
+    except BaseException:
+        import signal  # imported here, so that only a refused run pays for it
+
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         os.close(read_fd)
         status = os.waitpid(pid, 0)[1]
     try:
-        return marshal.loads(b"".join(chunks)) if status == 0 else None
+        return table, marshal.loads(b"".join(chunks)) if status == 0 else None
     except (EOFError, ValueError, TypeError):
-        return None
+        return table, None
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +258,16 @@ def _cmd_select(args: argparse.Namespace) -> None:
             f"the line count of {args.ref} and {args.src}",
             path=args.kbest,
         )
-    table = None
-    sims = None
+    table = sims = None
     if args.table is not None:
-        child = _fork_similarities(lists, references)
-        try:
-            # store only the rows scoring can look up
-            hypothesis_words = {
-                y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
-            }
-            source_words = {x for sentence in sources for x in sentence}
-            table = read_table(args.table, keep=(source_words, hypothesis_words))
-        except BaseException:
-            if child is not None:
-                _reap_similarities(child, kill=True)
-            raise
-        if child is not None:
-            sims = _reap_similarities(child)
+        # store only the rows scoring can look up
+        hypothesis_words = {
+            y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
+        }
+        source_words = {x for sentence in sources for x in sentence}
+        table, sims = _read_table_beside_similarities(
+            args.table, (source_words, hypothesis_words), lists, references
+        )
     scored_lists = [
         score_hypotheses(
             kbest, references[sentence_id], sources[sentence_id], config, table,

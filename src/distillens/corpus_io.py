@@ -656,19 +656,24 @@ def atomic_write(path: str):
     success. The temp file is created exclusively, with the mode that
     ``open(path, "w")`` gives; on any error after that it is removed, so
     the destination is either untouched or complete. A symlink is written
-    through: the file it names is replaced, and the link stays.
+    through: the file it names is replaced, and the link stays. An OSError
+    that names the temp file, or no file, is raised naming ``path`` as given.
     """
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    tmp_path = os.path.join(directory, f".tmp.{os.urandom(6).hex()}~")
-    fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
+    real_path = os.path.realpath(path)
+    tmp_path = os.path.join(os.path.dirname(real_path), f".tmp.{os.urandom(6).hex()}~")
     try:
-        with fh:
-            yield fh
-        os.replace(tmp_path, path)
-    except BaseException:
+        fh = open(tmp_path, "x", encoding="utf-8", newline="\n")
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with fh:
+                yield fh
+            os.replace(tmp_path, real_path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        if exc.strerror is None or exc.filename not in (None, tmp_path):
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc

