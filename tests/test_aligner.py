@@ -152,11 +152,11 @@ class TestTrainIbm1:
         )
 
     def test_iterations_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^iterations must be >= 1, got 0$"):
             train_ibm1(_corpus(("a", "x")), 0)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot train on an empty corpus$"):
             train_ibm1(ParallelCorpus(()), 1)
 
     def test_rows_normalized(self):

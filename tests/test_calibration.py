@@ -162,7 +162,7 @@ class TestConfidenceByIteration:
         assert list(curve) == [1, 2]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^records must be non-empty$"):
             confidence_by_iteration([])
 
 
@@ -355,9 +355,9 @@ class TestExpectedCalibrationError:
         assert "4" in message and "7" in message
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_bins must be in 1\.\.1000, got 0$"):
             expected_calibration_error([_pred(0.5, True)], n_bins=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^records must be non-empty$"):
             expected_calibration_error([])
 
     def test_bins_above_limit_rejected(self):
@@ -445,7 +445,9 @@ class TestFillCorrectness:
 
     def test_unknown_sentence_rejected(self):
         records = [TokenPredictionRecord(5, 0, "a", 0.9, None)]
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="^no hypothesis for sentence 5 referenced by a prediction$"
+        ):
             fill_correctness(records, {0: ["a"]}, {0: ["a"]})
 
     def test_sentence_without_reference_rejected(self):
@@ -461,5 +463,9 @@ class TestFillCorrectness:
 
     def test_token_mismatch_rejected(self):
         records = [TokenPredictionRecord(0, 0, "b", 0.9, None)]
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError,
+            match="^prediction token 'b' at sentence 0 position 0 "
+            "does not match hypothesis token 'a'$",
+        ):
             fill_correctness(records, {0: ["a"]}, {0: ["a"]})

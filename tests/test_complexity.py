@@ -66,9 +66,12 @@ class TestSentenceFrs:
         assert sentence_frs(_alignment((2, 0), (2, 1)), 2) == 0.0
 
     def test_target_length_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^target_length must be >= 1, got 0$"):
             sentence_frs(_alignment(), 0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError,
+            match="^alignment link 0-5: target index out of range for sentence of length 3$",
+        ):
             sentence_frs(_alignment((0, 5)), 3)
 
 
@@ -104,7 +107,9 @@ class TestCorpusFrs:
     def test_length_mismatch(self):
         pair = SentencePair(("a",), ("x",))
         corpus = ParallelCorpus((pair,))
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="^0 alignments for a corpus of 1 sentence pairs$"
+        ):
             corpus_frs(corpus, [])
         # a link outside its pair names the pair's 1-based number
         two = ParallelCorpus((pair, pair))
@@ -112,7 +117,7 @@ class TestCorpusFrs:
             corpus_frs(two, [_alignment((0, 0)), _alignment((0, 1))])
 
     def test_empty_corpus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot average over an empty corpus$"):
             corpus_frs(ParallelCorpus(()), [])
 
 
@@ -132,7 +137,9 @@ class TestConditionalDistribution:
     def test_length_mismatch(self):
         pair = SentencePair(("a",), ("x",))
         corpus = ParallelCorpus((pair,))
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="^0 alignments for a corpus of 1 sentence pairs$"
+        ):
             conditional_distribution(corpus, [])
         two = ParallelCorpus((pair, pair))
         with pytest.raises(ValidationError, match="^line 2: "):
@@ -192,7 +199,7 @@ class TestLexicalDiversity:
         assert lexical_diversity(table) == pytest.approx(0.6931, abs=1e-4)
 
     def test_empty_vocabulary_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^conditional table has an empty source vocabulary$"):
             lexical_diversity(ConditionalTable({}))
 
 
@@ -240,9 +247,13 @@ class TestFaithfulness:
 
     def test_alpha_validated(self):
         table = ConditionalTable({"a": {"x": 1}})
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^smoothing constant must be finite and > 0, got 0\.0$"
+        ):
             faithfulness(table, table, alpha=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^smoothing constant must be finite and > 0, got -0\.5$"
+        ):
             faithfulness(table, table, alpha=-0.5)
 
     @pytest.mark.parametrize(

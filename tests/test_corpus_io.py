@@ -1,6 +1,7 @@
 """I/O layer: parsing, validation and round-trips for every format."""
 
 import ast
+import errno
 import json
 import math
 import os
@@ -398,12 +399,15 @@ class TestJsonLinesWriters:
     @pytest.mark.parametrize(
         "write, record",
         [
-            (write_attention, lambda value: AttentionRecord(0, 1, 0, ((1.0, value),))),
+            (write_attention, lambda value: AttentionRecord(0, 1, 0, ((0.5, value),))),
             (write_token_predictions, lambda value: TokenPredictionRecord(0, 0, "a", value)),
         ],
     )
     def test_non_finite_refused_with_no_file(self, tmp_path, write, record, value):
-        with pytest.raises(ValueError):
+        # json's message names the value from Python 3.12
+        with pytest.raises(
+            ValueError, match=f"^Out of range float values are not JSON compliant(: {value!r})?$"
+        ):
             write([record(0.5), record(value)], str(tmp_path / "out.jsonl"))
         assert os.listdir(tmp_path) == []
 
@@ -909,3 +913,17 @@ class TestAtomicWrite:
                 raise RuntimeError("boom")
         monkeypatch.undo()
         assert [name.startswith(".tmp.") for name in os.listdir(tmp_path)] == [True]
+
+    @pytest.mark.parametrize("error", [
+        FileNotFoundError(errno.ENOENT, "No such file or directory", "other.txt"),
+        OSError("no detail"),
+    ], ids=["names another file", "no strerror"])
+    def test_other_os_errors_pass_through(self, tmp_path, error):
+        """Only an OSError with a strerror that names the temp file, or no
+        file, is raised again naming the output; any other comes out as it
+        went in."""
+        with pytest.raises(OSError) as info:
+            with atomic_write(str(tmp_path / "out.txt")):
+                raise error
+        assert info.value is error
+        assert os.listdir(tmp_path) == []

@@ -135,6 +135,35 @@ def test_floats_are_never_added_with_builtin_sum():
     assert set().union(*map(_sum_uses, paths)) == SUM_USES
 
 
+_PINNED_ERRORS = {"ValueError", "ValidationError", "FormatError", "DistillensError"}
+
+
+def _unpinned_raises(path: Path) -> list[str]:
+    """Each ``pytest.raises`` of one of _PINNED_ERRORS in ``path`` that
+    neither passes ``match=`` nor binds the exception with ``as``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {
+        id(item.context_expr)
+        for node in ast.walk(tree) if isinstance(node, ast.With)
+        for item in node.items if item.optional_vars is not None
+    }
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises"
+        and ast.unparse(node.args[0]).split(".")[-1] in _PINNED_ERRORS
+        and not any(keyword.arg == "match" for keyword in node.keywords)
+        and id(node) not in bound
+    ]
+
+
+def test_library_refusals_pin_their_message():
+    """A refusal test that names no message passes on any message, the
+    wrong one included."""
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    assert [site for path in paths for site in _unpinned_raises(path)] == []
+
+
 _LEFT_OUT = ["importlib.resources", "dataclasses", "inspect",
              "tempfile", "shutil", "random", "bz2", "lzma",
              "multiprocessing", "concurrent.futures", "pickle", "threading", "signal"]
@@ -229,9 +258,13 @@ def test_record_is_an_immutable_value(cls, values, other):
         assert hash(record) == hash(cls(*copy.deepcopy(values)))
 
 
-@pytest.mark.parametrize("values", [(1.5, "nmt"), (-0.5, "nmt"), (0.5, "x")])
-def test_selection_config_refuses_what_it_cannot_score(values):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("values, message", [
+    ((1.5, "nmt"), r"sim_weight must be in \[0, 1\], got 1\.5"),
+    ((-0.5, "nmt"), r"sim_weight must be in \[0, 1\], got -0\.5"),
+    ((0.5, "x"), r"complexity_kind must be one of \('frs', 'walign', 'nmt'\), got 'x'"),
+], ids=["values0", "values1", "values2"])
+def test_selection_config_refuses_what_it_cannot_score(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         distillens.SelectionConfig(*values)
 
 

@@ -76,7 +76,10 @@ class TestMonotonePreorder:
         assert new_alignment.links == frozenset()
 
     def test_out_of_range_link_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError,
+            match="^alignment link 3-0: source index out of range for sentence of length 1$",
+        ):
             monotone_preorder(("a",), _alignment((3, 0)))
 
     def test_token_multiset_preserved(self):

@@ -47,7 +47,7 @@ class TestSmoothedSentenceBleu:
         assert smoothed_sentence_bleu([], ["a"]) == 0.0
 
     def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^reference must be non-empty$"):
             smoothed_sentence_bleu(["a"], [])
 
     @pytest.mark.parametrize("max_ngram", [0, -1])
@@ -203,13 +203,15 @@ class TestScoreHypotheses:
 
     def test_empty_list_rejected(self):
         kbest = KBestList(0, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k-best list for sentence 0 is empty$"):
             score_hypotheses(kbest, ["a"], ["s"], SelectionConfig(0.5, "nmt"))
 
     def test_table_required_for_frs_and_word_align(self):
         kbest = _nmt_list(("a b", -1.0))
         for kind in ("frs", "walign"):
-            with pytest.raises(ValueError):
+            with pytest.raises(
+                ValueError, match=f"^complexity kind '{kind}' needs a translation table$"
+            ):
                 score_hypotheses(
                     kbest, ["a", "b"], ["s"], SelectionConfig(0.5, kind)
                 )
@@ -313,13 +315,16 @@ class TestSelectReference:
 
 class TestSelectionConfig:
     def test_lambda_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sim_weight must be in \[0, 1\], got -0\.1$"):
             SelectionConfig(-0.1, "nmt")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sim_weight must be in \[0, 1\], got 1\.1$"):
             SelectionConfig(1.1, "nmt")
 
     def test_kind_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=r"^complexity_kind must be one of \('frs', 'walign', 'nmt'\), got 'bleu'$",
+        ):
             SelectionConfig(0.5, "bleu")
 
 
@@ -410,9 +415,9 @@ class TestAgainstPerHypothesisScoring:
             if config.complexity_kind == "frs" and not all(
                 entry.hypothesis for entry in kbest.entries
             ):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="^target_length must be >= 1, got 0$"):
                     _per_hypothesis_scores(kbest, reference, source, config, table)
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="^target_length must be >= 1, got 0$"):
                     score_hypotheses(kbest, reference, source, config, table)
                 continue
             expected = _per_hypothesis_scores(kbest, reference, source, config, table)
