@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import marshal
 import os
 import sys
 from typing import Iterable, Sequence
@@ -64,7 +63,6 @@ from .selection import (
     ScoredHypothesis,
     SelectionConfig,
     _best_rank,
-    _similarities,
     score_hypotheses,
 )
 
@@ -153,60 +151,6 @@ def _write_reports(
         _write_csv(header, rows, args.csv)
 
 
-def _read_table_beside_similarities(
-    path: str, keep: tuple[set, set], lists: dict, references: list
-) -> tuple[TranslationTable, list | None]:
-    """Read the table at ``path``, storing only the ``keep`` rows, while a
-    forked child computes every k-best list's similarities, the half of
-    scoring that needs no table, and writes them to a pipe as one marshal
-    blob, which keeps each float exact. The similarities are None where
-    no child can start (no os.fork, another thread running, whose locks
-    the child could find held, or a failing os.pipe or os.fork) or the
-    child failed; the caller computes them. A refused read kills the child."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading is not None and threading.active_count() > 1:
-        return read_table(path, keep=keep), None
-    try:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-    except OSError:
-        return read_table(path, keep=keep), None
-    if pid == 0:  # the child never returns into the caller
-        code = 1
-        try:
-            os.close(read_fd)
-            sims = [_similarities(kbest.entries, references[i]) for i, kbest in lists.items()]
-            blob = memoryview(marshal.dumps(sims))
-            while blob:
-                blob = blob[os.write(write_fd, blob):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    chunks = []
-    try:
-        table = read_table(path, keep=keep)
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    except BaseException:
-        import signal  # imported here, so that only a refused run pays for it
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(read_fd)
-        status = os.waitpid(pid, 0)[1]
-    try:
-        return table, marshal.loads(b"".join(chunks)) if status == 0 else None
-    except (EOFError, ValueError, TypeError):
-        return table, None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -258,21 +202,16 @@ def _cmd_select(args: argparse.Namespace) -> None:
             f"the line count of {args.ref} and {args.src}",
             path=args.kbest,
         )
-    table = sims = None
+    table = None
     if args.table is not None:
         # store only the rows scoring can look up
         hypothesis_words = {
             y for kbest in lists.values() for entry in kbest.entries for y in entry.hypothesis
         }
         source_words = {x for sentence in sources for x in sentence}
-        table, sims = _read_table_beside_similarities(
-            args.table, (source_words, hypothesis_words), lists, references
-        )
+        table = read_table(args.table, keep=(source_words, hypothesis_words))
     scored_lists = [
-        score_hypotheses(
-            kbest, references[sentence_id], sources[sentence_id], config, table,
-            sims=None if sims is None else sims[sentence_id],
-        )
+        score_hypotheses(kbest, references[sentence_id], sources[sentence_id], config, table)
         for sentence_id, kbest in lists.items()
     ]
     best_ranks = list(map(_best_rank, scored_lists))

@@ -486,8 +486,11 @@ def _require_int(record: dict, key: str, minimum: int) -> int:
 
 
 def _json_line(obj: dict) -> str:
-    """One sorted-key JSON object; NaN or ±inf is json's ValueError."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
+    """One sorted-key JSON object; NaN or ±inf is a FormatError."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError:  # json's wording differs across Python versions
+        raise FormatError("a number is NaN or infinite, which JSON cannot hold") from None
 
 
 def _token_prediction_parser() -> Callable[[str], TokenPredictionRecord | None]:

@@ -198,31 +198,18 @@ def _complexity_raws(
     return [_add_in_order(map(logp.__getitem__, entry.hypothesis), 0.0) for entry in entries]
 
 
-def _similarities(entries: Sequence[KBestEntry], reference: Sequence[str]) -> list[float]:
-    """Each entry's smoothed sentence BLEU against the reference: the half
-    of scoring that needs no table."""
-    ref_table = _reference_counts(reference, MAX_NGRAM)
-    return [_bleu(entry.hypothesis, len(reference), ref_table) for entry in entries]
-
-
 def score_hypotheses(
     kbest: KBestList,
     reference: Sequence[str],
     source: Sequence[str],
     config: SelectionConfig,
     table: TranslationTable | None = None,
-    sims: Sequence[float] | None = None,
 ) -> list[ScoredHypothesis]:
-    """Score every entry of one k-best list, preserving list order.
-
-    ``sims``, when given, are the entries' similarities as
-    ``_similarities`` computes them, for a caller that computed them
-    elsewhere; left unset, they are computed here.
-    """
+    """Score every entry of one k-best list, preserving list order."""
     if not kbest.entries:
         raise ValueError(f"k-best list for sentence {kbest.sentence_id} is empty")
-    if sims is None:
-        sims = _similarities(kbest.entries, reference)
+    ref_table = _reference_counts(reference, MAX_NGRAM)
+    sims = [_bleu(entry.hypothesis, len(reference), ref_table) for entry in kbest.entries]
     raws = _complexity_raws(kbest.entries, source, config, table)
     sim_norms = min_max_normalize(sims)
     cxty_norms = min_max_normalize(raws)

@@ -16,7 +16,6 @@ from ``bundled_runs``.
 import csv
 import errno
 import json
-import marshal
 import os
 import random
 import re
@@ -24,7 +23,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
@@ -494,6 +492,22 @@ class TestEmptyPaths:
         assert judged_run(_argv(words, files), tmp_path)[0] == 0
 
 
+@pytest.mark.parametrize("words, outputs", [
+    ("preorder --src E.src --tgt E.tgt --align E.aln --out-src OUT --out-align OUT2",
+     {"OUT": b"", "OUT2": b""}),
+    ("select --kbest E.src --ref E.tgt --src E.src --cxty nmt --out OUT", {"OUT": b""}),
+    ("select --kbest E.src --ref E.tgt --src E.src --cxty walign --table TSV --out OUT "
+     "--scores OUT2",
+     {"OUT": b"", "OUT2": b"sentence_id,rank,sim,sim_norm,cxty_raw,cxty_norm,total,selected,"
+                          b"hypothesis\n"}),
+], ids=["preorder", "select nmt", "select walign"])
+def test_empty_inputs_write_empty_outputs(tmp_path, files, words, outputs):
+    """preorder and select accept empty inputs; select's --scores then
+    holds only its header."""
+    assert judged_run(_argv(words, files), tmp_path) == (0, "")
+    assert {word: Path(files[word]).read_bytes() for word in outputs} == outputs
+
+
 # each subcommand that writes two files, given one file under two names
 # (BAD); report trains alignments by EM, so a refusal must come before training
 _SAME_OUTPUT_RUNS = {
@@ -779,98 +793,6 @@ class TestSelect:
         monkeypatch.setattr("distillens.cli.score_hypotheses", no_scoring)
         words = f"select --kbest K --ref T --src S --cxty {kind} --table '' --out OUT"
         assert _refused(words, files, 2) == "distillens: [Errno 2] No such file or directory: ''\n"
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of each child that os.fork starts in the test."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-def _fail(*args):
-    raise OSError("refused for the test")
-
-
-class TestSimilarityChild:
-    """select with --table computes its similarities in one forked child
-    while it reads the table, or in process when no child can do it;
-    either way it writes the pinned bytes and leaves no child behind."""
-
-    @staticmethod
-    def _assert_pinned(name, out):
-        """Run align, then the bundled run ``name``, into ``out``, and
-        assert that ``name`` writes its pins."""
-        for run in ("align", name):
-            code, err = judged_run(argv(run, out), out)
-            assert code == 0, err
-        kind = name.split()[1]
-        for output in (f"{kind}.out", f"{kind}.csv"):
-            assert digest((out / output).read_bytes()) == DIGESTS[output], output
-
-    @pytest.mark.parametrize("name", ["select frs", "select walign"])
-    def test_child_writes_the_pins(self, tmp_path, monkeypatch, forks, name):
-        """The parent scores with the child's similarities, computing none."""
-        monkeypatch.setattr("distillens.selection._similarities",
-                            lambda *args: pytest.fail("similarities computed in the parent"))
-        self._assert_pinned(name, tmp_path)
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("name", ["select frs", "select walign"])
-    @pytest.mark.parametrize("cause", ["no fork", "fork fails", "pipe fails", "thread running"])
-    def test_in_process_writes_the_pins(self, tmp_path, monkeypatch, cause, name):
-        """Where no child can be started, the parent computes the
-        similarities; beside another thread, it does not even try."""
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        if cause == "no fork":
-            monkeypatch.delattr(os, "fork")
-        elif cause == "thread running":
-            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
-            thread.start()
-        else:
-            monkeypatch.setattr(os, cause.split()[0], _fail)
-        try:
-            self._assert_pinned(name, tmp_path)
-        finally:
-            stop.set()
-        if cause == "thread running":
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-
-    @pytest.mark.parametrize("name", ["select frs", "select walign"])
-    @pytest.mark.parametrize("failure", ["raises", "short blob"])
-    def test_parent_scores_when_the_child_fails(self, tmp_path, monkeypatch, forks, failure, name):
-        """A child that raises exits 1 and writes nothing; one whose blob
-        is short exits 0. The parent computes the similarities itself."""
-        dumps = marshal.dumps
-        if failure == "raises":
-            monkeypatch.setattr(marshal, "dumps", lambda value: 1 / 0)
-        else:
-            monkeypatch.setattr(marshal, "dumps", lambda value: dumps(value)[:-1])
-        self._assert_pinned(name, tmp_path)
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("text, code, message", [
-        ("a\tx\t0.5\nb\ty\t0.5\nb\tx\tnan\n", 1,
-         "{BAD}: line 3: probability must be finite and >= 0, got nan"),
-        (None, 2, "[Errno 2] No such file or directory: '{BAD}'"),
-    ], ids=["bad line", "no file"])
-    def test_refused_table_kills_the_child(self, files, forks, text, code, message):
-        if text is not None:
-            _write(files["BAD"], text)
-        words = "select --kbest K --ref T --src S --cxty walign --table BAD --out OUT"
-        assert _refused(words, files, code) == f"distillens: {message.format(**files)}\n"
-        assert len(forks) == 1
 
 
 class TestPreorder:

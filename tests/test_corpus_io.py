@@ -404,11 +404,9 @@ class TestJsonLinesWriters:
         ],
     )
     def test_non_finite_refused_with_no_file(self, tmp_path, write, record, value):
-        # json's message names the value from Python 3.12
-        with pytest.raises(
-            ValueError, match=f"^Out of range float values are not JSON compliant(: {value!r})?$"
-        ):
+        with pytest.raises(ValueError) as info:
             write([record(0.5), record(value)], str(tmp_path / "out.jsonl"))
+        assert str(info.value) == "record 2: a number is NaN or infinite, which JSON cannot hold"
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(

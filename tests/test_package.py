@@ -187,11 +187,10 @@ def test_importing_the_cli_leaves_out(cli_imports, module):
     """Only bundled_data_dir needs importlib.resources, and no subcommand
     calls it; the records are built without dataclasses, which would pull
     in inspect; atomic_write creates its temp file with open(), not
-    tempfile, which would pull in shutil, random, bz2 and lzma. select
-    computes its similarities in a child started with os.fork and sends
-    them back with marshal, not through multiprocessing, concurrent.futures,
-    pickle or threading, and only a refused table read imports signal, to
-    kill that child: every subcommand's set-up pays for each import.
+    tempfile, which would pull in shutil, random, bz2 and lzma. Every
+    subcommand runs in one process and one thread, so nothing needs
+    multiprocessing, concurrent.futures, pickle, threading or signal:
+    every subcommand's set-up would pay for each import.
     -S keeps the host's site hooks from importing any of them first."""
     assert module not in cli_imports
 
