@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
@@ -38,7 +39,7 @@ from distillens.aligner import NULL_TOKEN, read_table
 from distillens.calibration import MAX_BINS
 
 import check
-from bundled_runs import DATA, DIGESTS, argv, digest
+from bundled_runs import DATA, DIGESTS, RUNS, argv, digest
 from cli_judge import judged_run
 from workloads import WORKLOADS, prepare_dirs
 
@@ -305,6 +306,17 @@ REFUSALS = {
         _TABLE_RUN, "{BAD}: line 1: probability must be " + bound, f"a\tx\t{value}\n"
     ) for value, bound in [("nan", "finite and >= 0, got nan"),
                            ("inf", "finite and >= 0, got inf"), ("7", "<= 1, got 7")]},
+    # walign reads the table as frs does: a bad line past valid ones is
+    # named by its number, and a table that is not there exits 2
+    "walign table line 3": _failed(
+        "select --kbest K --ref T --src S --cxty walign --table BAD --out OUT",
+        "{BAD}: line 3: probability must be finite and >= 0, got nan",
+        "a\tx\t0.5\nb\ty\t0.5\nb\tx\tnan\n",
+    ),
+    "walign table missing": Refusal(
+        "select --kbest K --ref T --src S --cxty walign --table BAD --out OUT", None, 2,
+        "distillens: [Errno 2] No such file or directory: '{BAD}'\n",
+    ),
     # JSON numbers no float can hold, and nesting the parser cannot follow,
     # are format errors, not tracebacks
     "oversized weight-401-digits": _failed(
@@ -500,12 +512,35 @@ class TestEmptyPaths:
      "--scores OUT2",
      {"OUT": b"", "OUT2": b"sentence_id,rank,sim,sim_norm,cxty_raw,cxty_norm,total,selected,"
                           b"hypothesis\n"}),
-], ids=["preorder", "select nmt", "select walign"])
+    ("select --kbest E.src --ref E.tgt --src E.src --cxty frs --table TSV --out OUT",
+     {"OUT": b""}),
+], ids=["preorder", "select nmt", "select walign", "select frs"])
 def test_empty_inputs_write_empty_outputs(tmp_path, files, words, outputs):
     """preorder and select accept empty inputs; select's --scores then
     holds only its header."""
     assert judged_run(_argv(words, files), tmp_path) == (0, "")
     assert {word: Path(files[word]).read_bytes() for word in outputs} == outputs
+
+
+def _refuse_to_start(*args, **kwargs):
+    pytest.fail("the run started a process or a thread")
+
+
+@pytest.mark.parametrize("name, extra", [(name, ()) for name in RUNS]
+                         + [("attn", ("--threads", "4"))], ids=[*RUNS, "attn --threads 4"])
+def test_runs_in_one_process_and_one_thread(tmp_path, monkeypatch, name, extra):
+    """Every subcommand runs in one process and one thread, with
+    --threads too: with each way to start either refused, each bundled
+    run (after align, where it reads align's table) writes its pins."""
+    for owner, attr in [(os, "fork"), (os, "posix_spawn"), (subprocess, "Popen"),
+                        (threading.Thread, "start")]:
+        monkeypatch.setattr(owner, attr, _refuse_to_start, raising=False)
+    for run in (["align"] if "--table" in RUNS[name] and name != "align" else []) + [name]:
+        code, err = judged_run(argv(run, tmp_path, *(extra if run == name else ())), tmp_path)
+        assert code == 0, err
+        assert (digest(err.encode()) if err else None) == DIGESTS.get(f"{run} stderr"), run
+    for path in tmp_path.iterdir():
+        assert digest(path.read_bytes()) == DIGESTS[path.name], path.name
 
 
 # each subcommand that writes two files, given one file under two names
