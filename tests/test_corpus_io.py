@@ -5,9 +5,10 @@ import errno
 import json
 import math
 import os
-import re
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,21 +158,19 @@ def _corpus(*lengths):
 
 class TestCheckAlignments:
     def test_count_names_path(self):
-        with pytest.raises(ValidationError, match="^a.aln: 1 alignments for a corpus of 2 "):
+        with pytest.raises(ValidationError,
+                           match=r"^a\.aln: 1 alignments for a corpus of 2 sentence pairs$"):
             check_alignments(_corpus((1, 1), (1, 1)), [Alignment(frozenset())], "a.aln")
 
     @pytest.mark.parametrize("link", [(1, 0), (0, 1)], ids=["source", "target"])
     def test_link_names_path_and_line(self, link):
         alignments = [Alignment(frozenset({(0, 0)})), Alignment(frozenset({link}))]
-        with pytest.raises(ValidationError, match="^a.aln: line 2: alignment link"):
+        message = (f"line 2: alignment link {link[0]}-{link[1]}: {'source' if link[0] else 'target'} "
+                   "index out of range for sentence of length 1")
+        with pytest.raises(ValidationError, match=rf"^a\.aln: {message}$"):
             check_alignments(_corpus((1, 1), (1, 1)), alignments, "a.aln")
-        with pytest.raises(ValidationError, match="^line 2: alignment link"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             check_alignments(_corpus((1, 1), (1, 1)), alignments)
-
-    def test_read_checks_against_corpus(self, tmp_path):
-        path = _write(tmp_path / "a.aln", "0-0\n0-1\n")
-        with pytest.raises(ValidationError, match=": line 2: .*target index"):
-            read_alignments(path, _corpus((1, 1), (1, 1)))
 
 
 class TestKBest:
@@ -192,34 +191,6 @@ class TestKBest:
         assert [len(lists[i].entries) for i in (0, 1)] == [2, 1]
         assert lists[0].entries[1].hypothesis == ("b",)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("0 ||| the cat ||| abc\n", "line 1: unparsable log probability 'abc'"),
-            ("0 ||| the cat ||| 0.3\n", "line 1: log probability must be finite and <= 0, got 0.3"),
-            ("1 ||| a ||| -1\n0 ||| b ||| -1\n",
-             "line 2: sentence ids must be non-decreasing (0 after 1)"),
-            ("0 |||  ||| -1\n", "line 1: empty hypothesis"),
-            ("0 ||| the cat\n", "line 1: expected `id ||| tokens ||| logprob`"),
-        ],
-    )
-    def test_bad_line_named(self, tmp_path, text, message):
-        path = _write(tmp_path / "k", text)
-        with pytest.raises(FormatError) as info:
-            read_kbest(path)
-        assert str(info.value) == f"{path}: {message}"
-
-    @pytest.mark.parametrize(
-        "sentence_id",
-        ["1_0", "\u0660", " +0"],
-        ids=["underscore", "arabic-indic-digit", "space-plus"],
-    )
-    def test_id_not_ascii_digits_rejected(self, tmp_path, sentence_id):
-        path = _write(tmp_path / "k", f"{sentence_id} ||| a ||| -1.0\n")
-        message = f"{path}: line 1: unparsable sentence id '{sentence_id}'"
-        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
-            read_kbest(path)
-
     def test_round_trip(self, tmp_path):
         lists = {
             0: KBestList(0, (KBestEntry(("a", "b"), -0.25), KBestEntry(("c",), -2.0))),
@@ -228,14 +199,6 @@ class TestKBest:
         path = str(tmp_path / "k")
         write_kbest(lists, path)
         assert read_kbest(path) == lists
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.5, 5e-324])
-    def test_bad_log_probability_refused_with_no_file(self, tmp_path, value):
-        entries = (KBestEntry(("a",), -1.0), KBestEntry(("b",), value))
-        with pytest.raises(ValueError) as info:
-            write_kbest({0: KBestList(0, entries)}, str(tmp_path / "k"))
-        assert str(info.value) == f"record 2: log probability must be finite and <= 0, got {value!r}"
-        assert os.listdir(tmp_path) == []
 
 
 class TestTokenPredictions:
@@ -260,13 +223,6 @@ class TestTokenPredictions:
 
 
 class TestAttention:
-    def test_repeated_key_rejected(self, tmp_path):
-        line = '{"sentence_id": 0, "iteration": 1, "head": %d, "weights": [[1.0]]}\n'
-        path = _write(tmp_path / "a", line % 0 + line % 1 + line % 0)
-        with pytest.raises(FormatError, match=r": line 3: duplicate head 0 at iteration 1 in "
-                           r"sentence 0$"):
-            read_attention(path)
-
     def test_renormalized_within_tolerance(self, tmp_path):
         path = _write(
             tmp_path / "a",
@@ -305,38 +261,6 @@ class TestAttention:
         write_attention(records, path)
         assert read_attention(path) == records
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ('["a", 1.0]', "attention weights must be numbers"),
-            ("[1.0, true]", "attention weights must be numbers"),
-            ("[null, 1.0]", "attention weights must be numbers"),
-            ("[1.2, -0.2]", "attention weight -0.2 must be finite and >= 0"),
-            ("[-1, 2]", "attention weight -1 must be finite and >= 0"),
-            ("[NaN, 1.0]", "attention weight nan must be finite and >= 0"),
-            ("[0.5, Infinity]", "attention weight inf must be finite and >= 0"),
-            ("[0, -Infinity]", "attention weight -inf must be finite and >= 0"),
-            ("[1e999, 0]", "attention weight inf must be finite and >= 0"),
-            (f"[{'9' * 401}, 0]", "attention weight is too large"),
-            ("[1e308, 1e308]", "attention row sums to inf, more than 0.0001 away from 1"),
-            ("[0.5, 0.6]", "attention row sums to 1.1, more than 0.0001 away from 1"),
-            ("[]", "attention rows must be non-empty lists"),
-            ("1.0", "attention rows must be non-empty lists"),
-            ("[1.0]", "attention rows must all have the same length"),
-            # a row with defects of two kinds gets the first check's message
-            ("[-1, \"a\"]", "attention weights must be numbers"),
-        ],
-    )
-    def test_bad_row_message(self, tmp_path, row, message):
-        path = _write(
-            tmp_path / "a",
-            '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, 0.0]]}\n'
-            f'{{"sentence_id": 0, "iteration": 1, "head": 0, "weights": [[1.0, 0.0], {row}]}}\n',
-        )
-        with pytest.raises(FormatError) as info:
-            read_attention(path)
-        assert str(info.value) == f"{path}: line 2: {message}"
-
     def test_negative_zero_accepted(self, tmp_path):
         path = _write(
             tmp_path / "a",
@@ -347,115 +271,227 @@ class TestAttention:
 
 _PREDICTION_LINE = '{"sentence_id": 0, "position": 0, "token": "a", "probability": 0.5%s}'
 _ATTENTION_LINE = '{"sentence_id": 0, "iteration": 1, "head": 0, "weights": %s}'
+_GOOD_RECORD = {
+    read_token_predictions: _PREDICTION_LINE % "",
+    read_attention: _ATTENTION_LINE % "[[1.0]]",
+}
 
 
 class TestJsonLinesRecords:
-    @pytest.mark.parametrize(
-        "read, line, message",
-        [
-            (read_token_predictions, "[1]", "record must be a JSON object"),
-            (read_attention, '"a"', "record must be a JSON object"),
-            (read_token_predictions, _PREDICTION_LINE % ', "correct": 1',
-             "field 'correct' must be a boolean when present"),
-            (read_attention, _ATTENTION_LINE % "[]", "field 'weights' must be a non-empty matrix"),
-            (read_attention, _ATTENTION_LINE % "1.0",
-             "field 'weights' must be a non-empty matrix"),
-            # json alone keeps a repeated member's last value: 0.1 and head 1
-            (read_token_predictions, _PREDICTION_LINE % ', "correct": true, "probability": 0.1',
-             "field 'probability' appears twice"),
-            (read_attention, _ATTENTION_LINE % '[[1.0]], "head": 1', "field 'head' appears twice"),
-            (read_attention, _ATTENTION_LINE % '[[1.0]], "weights": [[1.0]]',
-             "field 'weights' appears twice"),
-            (read_token_predictions, _PREDICTION_LINE % "", "duplicate position 0 in sentence 0"),
-            (read_token_predictions,
-             '{"sentence_id": 0, "position": 1, "token": "a", "probability": 1.3}',
-             "probability 1.3 outside [0, 1]"),
-            (read_attention, '{"sentence_id": 0, "iteration": 0, "head": 0, "weights": [[1.0]]}',
-             "field 'iteration' must be >= 1"),
-        ],
-    )
-    def test_bad_record_message(self, tmp_path, read, line, message):
-        # after a good record, so a record is also checked against the ones before it
-        good = _PREDICTION_LINE % "" if read is read_token_predictions else _ATTENTION_LINE % "[[1.0]]"
-        path = _write(tmp_path / "r.jsonl", f"{good}\n{line}\n")
-        with pytest.raises(FormatError) as info:
-            read(path)
-        assert str(info.value) == f"{path}: line 2: {message}"
-
-    @pytest.mark.parametrize(
-        "read, line",
-        [
-            (read_token_predictions, _PREDICTION_LINE % ""),
-            (read_attention, _ATTENTION_LINE % "[[1.0]]"),
-        ],
-    )
+    @pytest.mark.parametrize("read, line", _GOOD_RECORD.items())
     def test_blank_lines_skipped(self, tmp_path, read, line):
         path = _write(tmp_path / "r.jsonl", f"\n{line}\n \t\n")
         assert read(path) == read(_write(tmp_path / "one.jsonl", line + "\n"))
 
 
-class TestJsonLinesWriters:
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "write, record",
-        [
-            (write_attention, lambda value: AttentionRecord(0, 1, 0, ((0.5, value),))),
-            (write_token_predictions, lambda value: TokenPredictionRecord(0, 0, "a", value)),
-        ],
-    )
-    def test_non_finite_refused_with_no_file(self, tmp_path, write, record, value):
-        with pytest.raises(ValueError) as info:
-            write([record(0.5), record(value)], str(tmp_path / "out.jsonl"))
-        assert str(info.value) == "record 2: a number is NaN or infinite, which JSON cannot hold"
-        assert os.listdir(tmp_path) == []
+class ReadRefusal(NamedTuple):
+    """A file that ``read`` refuses: it holds ``text``, and reading it raises
+    exactly ``error`` with the message ``<path>: <message>``."""
 
-    @pytest.mark.parametrize(
-        "write, bad, message",
-        [
-            (write_token_predictions, TokenPredictionRecord(0, 1, "a", 1.5),
-             "probability 1.5 outside [0, 1]"),
-            (write_token_predictions, TokenPredictionRecord(-1, 0, "a", 0.5),
-             "field 'sentence_id' must be >= 0"),
-            (write_token_predictions, TokenPredictionRecord(0, -1, "a", 0.5),
-             "field 'position' must be >= 0"),
-            (write_token_predictions, TokenPredictionRecord(0, 0, "b", 0.5),
-             "duplicate position 0 in sentence 0"),
-            (write_token_predictions, TokenPredictionRecord(0, 1, "a", True),
-             "field 'probability' must be a number"),
-            (write_token_predictions, TokenPredictionRecord(0, 1, 5, 0.5),
-             "field 'token' must be a string"),
-            (write_token_predictions, TokenPredictionRecord(0, 1, "a", 0.5, 1),
-             "field 'correct' must be a boolean when present"),
-            (write_attention, AttentionRecord(0, 0, 0, ((1.0,),)),
-             "field 'iteration' must be >= 1"),
-            (write_attention, AttentionRecord(0, 1, -1, ((1.0,),)),
-             "field 'head' must be >= 0"),
-            (write_attention, AttentionRecord(0, 1, 0, ()),
-             "field 'weights' must be a non-empty matrix"),
-            (write_attention, AttentionRecord(0, 1, 0, ((),)),
-             "attention rows must be non-empty lists"),
-            (write_attention, AttentionRecord(0, 1, 0, ((1.0,), (0.5, 0.5))),
-             "attention rows must all have the same length"),
-            (write_attention, AttentionRecord(0, 1, 0, ((1.5, -0.5),)),
-             "attention weight -0.5 must be finite and >= 0"),
-            (write_attention, AttentionRecord(0, 1, 0, ((0.5, 0.4),)),
-             "attention row sums to 0.9, more than 0.0001 away from 1"),
-            (write_attention, AttentionRecord(0, 1, 0, ((1.0,),)),
-             "duplicate head 0 at iteration 1 in sentence 0"),
-        ],
-    )
-    def test_what_the_reader_rejects_is_refused_with_no_file(
-        self, tmp_path, write, bad, message
-    ):
-        good = (
-            TokenPredictionRecord(0, 0, "a", 0.5)
-            if write is write_token_predictions
-            else AttentionRecord(0, 1, 0, ((1.0,),))
-        )
-        with pytest.raises(ValueError) as info:
-            write([good, bad], str(tmp_path / "out.jsonl"))
-        assert str(info.value) == f"record 2: {message}"
-        assert os.listdir(tmp_path) == []
+    read: Callable[[str], object]
+    text: str
+    error: type[DistillensError]
+    message: str
+
+
+READ_REFUSALS = {
+    **{f"read_kbest {message}": ReadRefusal(read_kbest, text, FormatError, message)
+       for text, message in [
+           ("0 ||| the cat ||| abc\n", "line 1: unparsable log probability 'abc'"),
+           ("0 ||| the cat ||| 0.3\n", "line 1: log probability must be finite and <= 0, got 0.3"),
+           ("1 ||| a ||| -1\n0 ||| b ||| -1\n",
+            "line 2: sentence ids must be non-decreasing (0 after 1)"),
+           ("0 |||  ||| -1\n", "line 1: empty hypothesis"),
+           ("0 ||| the cat\n", "line 1: expected `id ||| tokens ||| logprob`"),
+           # a sentence id is ASCII digits alone
+           *[(f"{i} ||| a ||| -1.0\n", f"line 1: unparsable sentence id '{i}'")
+             for i in ["1_0", "\u0660", " +0"]]]},
+    "read_alignments 0-1 outside its pair": ReadRefusal(
+        lambda path: read_alignments(path, _corpus((1, 1), (1, 1))), "0-0\n0-1\n", ValidationError,
+        "line 2: alignment link 0-1: target index out of range for sentence of length 1",
+    ),
+    **{f"read_table {text}": ReadRefusal(read_table, text, FormatError, message)
+       for text, message in [
+           ("a\tx\t0.5\nb\ty\tnan\n", "line 2: probability must be finite and >= 0, got nan"),
+           ("a\tx\t0.5\nb\ty\tinf\n", "line 2: probability must be finite and >= 0, got inf"),
+           ("a\tx\t0.5\nb\ty\t1e999\n", "line 2: probability must be finite and >= 0, got 1e999"),
+           ("a\tx\t0.5\nb\ty\t-1\n", "line 2: probability must be finite and >= 0, got -1"),
+           ("a\tx\t-0.5\n", "line 1: probability must be finite and >= 0, got -0.5"),
+           ("a\tx\t5.0\na\ty\t7\n", "line 1: probability must be <= 1, got 5.0"),
+           ("a\tx\t1.0\na\ty\t1.0000000000000002\n",
+            "line 2: probability must be <= 1, got 1.0000000000000002"),
+           ("a\tx\n", "line 1: expected `source<TAB>target<TAB>probability`"),
+           ("a\tx\t0.5\nb\ty\n", "line 2: expected `source<TAB>target<TAB>probability`"),
+           ("a\tx\t0.5\nb\ty\t0.5\tz\n", "line 2: expected `source<TAB>target<TAB>probability`"),
+           ("a\tx\t0.5\nb\ty\t0.5\t\n", "line 2: expected `source<TAB>target<TAB>probability`"),
+           ("a\tx\tabc\n", "line 1: unparsable probability 'abc'"),
+           ("a\tx\t\n", "line 1: unparsable probability ''")]},
+    # a bad line fails the read even where keep= stores no row
+    **{f"read_table keep= {bad}": ReadRefusal(
+        lambda path: read_table(path, keep=({"a"}, {"x", "y"})),
+        f"a\tx\t0.5\nq\tv\t0.5\n{bad}\na\ty\t0.5\n", FormatError, f"line 3: {message}",
+    ) for bad, message in [
+        ("q\tw\tnan", "probability must be finite and >= 0, got nan"),
+        ("q\tw\t-1", "probability must be finite and >= 0, got -1"),
+        ("q\tw\t2", "probability must be <= 1, got 2"),
+        ("q\tw\tabc", "unparsable probability 'abc'"),
+        ("q\tw", "expected `source<TAB>target<TAB>probability`")]},
+    "read_attention duplicate head": ReadRefusal(read_attention, "".join(
+        '{"sentence_id": 0, "iteration": 1, "head": %d, "weights": [[1.0]]}\n' % head
+        for head in (0, 1, 0)
+    ), FormatError, "line 3: duplicate head 0 at iteration 1 in sentence 0"),
+    # a good record, then one whose second weight row is bad
+    **{f"read_attention row {row}": ReadRefusal(
+        read_attention,
+        f"{_ATTENTION_LINE % '[[1.0, 0.0]]'}\n{_ATTENTION_LINE % f'[[1.0, 0.0], {row}]'}\n",
+        FormatError, f"line 2: {message}",
+    ) for row, message in [
+        ('["a", 1.0]', "attention weights must be numbers"),
+        ("[1.0, true]", "attention weights must be numbers"),
+        ("[null, 1.0]", "attention weights must be numbers"),
+        ("[1.2, -0.2]", "attention weight -0.2 must be finite and >= 0"),
+        ("[-1, 2]", "attention weight -1 must be finite and >= 0"),
+        ("[NaN, 1.0]", "attention weight nan must be finite and >= 0"),
+        ("[0.5, Infinity]", "attention weight inf must be finite and >= 0"),
+        ("[0, -Infinity]", "attention weight -inf must be finite and >= 0"),
+        ("[1e999, 0]", "attention weight inf must be finite and >= 0"),
+        (f"[{'9' * 401}, 0]", "attention weight is too large"),
+        ("[1e308, 1e308]", "attention row sums to inf, more than 0.0001 away from 1"),
+        ("[0.5, 0.6]", "attention row sums to 1.1, more than 0.0001 away from 1"),
+        ("[]", "attention rows must be non-empty lists"),
+        ("1.0", "attention rows must be non-empty lists"),
+        ("[1.0]", "attention rows must all have the same length"),
+        # a row with defects of two kinds gets the first check's message
+        ("[-1, \"a\"]", "attention weights must be numbers")]},
+    # after a good record, so a record is also checked against the ones
+    # before it; bool is an int to Python, and json reads 1.0 as a float
+    **{f"{read.__name__} {line}": ReadRefusal(
+        read, f"{_GOOD_RECORD[read]}\n{line}\n", FormatError, f"line 2: {message}"
+    ) for read, fields, rows in [
+        (read_token_predictions, ["sentence_id", "position"], [
+            ("[1]", "record must be a JSON object"),
+            (_PREDICTION_LINE % ', "correct": 1', "field 'correct' must be a boolean when present"),
+            # json alone keeps a repeated member's last value: 0.1
+            (_PREDICTION_LINE % ', "correct": true, "probability": 0.1',
+             "field 'probability' appears twice"),
+            (_PREDICTION_LINE % "", "duplicate position 0 in sentence 0"),
+            ('{"sentence_id": 0, "position": 1, "token": "a", "probability": 1.3}',
+             "probability 1.3 outside [0, 1]")]),
+        (read_attention, ["sentence_id", "iteration", "head"], [
+            ('"a"', "record must be a JSON object"),
+            (_ATTENTION_LINE % "[]", "field 'weights' must be a non-empty matrix"),
+            (_ATTENTION_LINE % "1.0", "field 'weights' must be a non-empty matrix"),
+            # json alone keeps a repeated member's last value: head 1
+            (_ATTENTION_LINE % '[[1.0]], "head": 1', "field 'head' appears twice"),
+            (_ATTENTION_LINE % '[[1.0]], "weights": [[1.0]]', "field 'weights' appears twice"),
+            ('{"sentence_id": 0, "iteration": 0, "head": 0, "weights": [[1.0]]}',
+             "field 'iteration' must be >= 1")])]
+      for line, message in rows + [
+          (json.dumps({**json.loads(_GOOD_RECORD[read]), field: value}),
+           f"field '{field}' must be an integer")
+          for field in fields for value in [True, 1.0, "0"]]},
+}
+
+
+@pytest.mark.parametrize("row", READ_REFUSALS.values(), ids=READ_REFUSALS.keys())
+def test_read_refused(tmp_path, row):
+    path = _write(tmp_path / "in", row.text)
+    with pytest.raises(DistillensError) as info:
+        row.read(path)
+    assert type(info.value) is row.error
+    assert str(info.value) == f"{path}: {row.message}"
+
+
+class WriteRefusal(NamedTuple):
+    """A value that ``write`` refuses: ``write(value, path)`` raises exactly
+    ValueError with the message ``message``, and leaves no file."""
+
+    write: Callable[[object, str], None]
+    value: object
+    message: str
+
+
+def _one_list(*hypotheses):
+    """K-best lists holding one list, each hypothesis at log probability -1."""
+    return {0: KBestList(0, tuple(KBestEntry(h, -1.0) for h in hypotheses))}
+
+
+WRITE_REFUSALS = {
+    **{f"{write.__name__} {message}": WriteRefusal(write, value, message)
+       for write, rows in [
+           (write_token_lines, [
+               ([("a",), ()], "record 2: empty line"),
+               ([("a\rb",)], "record 1: token 'a\\rb' is empty or holds whitespace"),
+               ([("a b",)], "record 1: token 'a b' is empty or holds whitespace"),
+               ([("a", "")], "record 1: token '' is empty or holds whitespace")]),
+           (write_alignments, [
+               ([Alignment(frozenset({(0, 0)})), Alignment(frozenset({(-1, 0)}))],
+                "record 2: malformed alignment link '-1-0' at token 1")]),
+           (write_kbest, [
+               (_one_list(()), "record 1: empty hypothesis"),
+               (_one_list(("a",), ("a b",)), "record 2: token 'a b' is empty or holds whitespace"),
+               (_one_list(("a\nb",)), "record 1: token 'a\\nb' is empty or holds whitespace"),
+               (_one_list(("a", "|||")), "record 1: unparsable log probability '||| -1.0'"),
+               ({0: KBestList(0, ()), 1: KBestList(1, _one_list(("a",))[0].entries)},
+                "k-best list 0 has no entries"),
+               ({0: KBestList(5, _one_list(("a",))[0].entries)}, "k-best list 0 holds sentence id 5"),
+               *[({0: KBestList(0, (KBestEntry(("a",), -1.0), KBestEntry(("b",), p)))},
+                  f"record 2: log probability must be finite and <= 0, got {p!r}")
+                 for p in [math.nan, math.inf, -math.inf, 0.5, 5e-324]]]),
+           (write_table, [
+               (TranslationTable({"a\tb": {"x": 1.0}}), "word 'a\\tb' holds a tab or a line break"),
+               (TranslationTable({"a": {"x": 0.5, "x\ny": 0.5}}),
+                "word 'x\\ny' holds a tab or a line break"),
+               (TranslationTable({"a": {"x\r": 1.0}}), "word 'x\\r' holds a tab or a line break"),
+               (TranslationTable({"a": {}, "b": {"x": 1.0}}), "source word 'a' has an empty row"),
+               # the ends of [0, 1] before the bad value are not named
+               *[(TranslationTable(
+                   {"a": {"x": 1.0}, "b": {"x": 0.0, "y": 1.0, "z": 0.25, y: p}, "c": {"x": 1.0}}
+               ), f"p({y!r} | 'b') must be in [0, 1], got {p!r}")
+                 for y in "xyz" for p in [math.nan, math.inf, -math.inf, -0.5, 1.5]]])]
+       for value, message in rows},
+    # after a good record, so a record is also checked against the ones before it
+    **{f"{write.__name__} record 2: {message}": WriteRefusal(write, [good, bad], f"record 2: {message}")
+       for write, good, rows in [
+           (write_token_predictions, TokenPredictionRecord(0, 0, "a", 0.5), [
+               (TokenPredictionRecord(0, 1, "a", 1.5), "probability 1.5 outside [0, 1]"),
+               (TokenPredictionRecord(-1, 0, "a", 0.5), "field 'sentence_id' must be >= 0"),
+               (TokenPredictionRecord(0, -1, "a", 0.5), "field 'position' must be >= 0"),
+               (TokenPredictionRecord(0, 0, "b", 0.5), "duplicate position 0 in sentence 0"),
+               (TokenPredictionRecord(0, 1, "a", True), "field 'probability' must be a number"),
+               (TokenPredictionRecord(0, 1, 5, 0.5), "field 'token' must be a string"),
+               (TokenPredictionRecord(0, 1, "a", 0.5, 1),
+                "field 'correct' must be a boolean when present")]),
+           (write_attention, AttentionRecord(0, 1, 0, ((1.0,),)), [
+               (AttentionRecord(0, 0, 0, ((1.0,),)), "field 'iteration' must be >= 1"),
+               (AttentionRecord(0, 1, -1, ((1.0,),)), "field 'head' must be >= 0"),
+               (AttentionRecord(0, 1, 0, ()), "field 'weights' must be a non-empty matrix"),
+               (AttentionRecord(0, 1, 0, ((),)), "attention rows must be non-empty lists"),
+               (AttentionRecord(0, 1, 0, ((1.0,), (0.5, 0.5))),
+                "attention rows must all have the same length"),
+               (AttentionRecord(0, 1, 0, ((1.5, -0.5),)),
+                "attention weight -0.5 must be finite and >= 0"),
+               (AttentionRecord(0, 1, 0, ((0.5, 0.4),)),
+                "attention row sums to 0.9, more than 0.0001 away from 1"),
+               (AttentionRecord(0, 1, 0, ((1.0,),)),
+                "duplicate head 0 at iteration 1 in sentence 0")])]
+       for bad, message in rows},
+    **{f"{write.__name__} {x!r}": WriteRefusal(
+        write, records, "record 2: a number is NaN or infinite, which JSON cannot hold"
+    ) for x in [math.nan, math.inf, -math.inf]
+      for write, records in [
+          (write_attention, [AttentionRecord(0, 1, 0, ((0.5, y),)) for y in (0.5, x)]),
+          (write_token_predictions, [TokenPredictionRecord(0, 0, "a", y) for y in (0.5, x)])]},
+}
+
+
+@pytest.mark.parametrize("row", WRITE_REFUSALS.values(), ids=WRITE_REFUSALS.keys())
+def test_write_refused(tmp_path, row):
+    with pytest.raises(ValueError) as info:
+        row.write(row.value, str(tmp_path / "out"))
+    assert type(info.value) is ValueError
+    assert str(info.value) == row.message
+    assert os.listdir(tmp_path) == []
 
 
 def _lines(line):
@@ -776,11 +812,6 @@ _WRITERS = {
 }
 
 
-def _one_list(*hypotheses):
-    """K-best lists holding one list, each hypothesis at log probability -1."""
-    return {0: KBestList(0, tuple(KBestEntry(h, -1.0) for h in hypotheses))}
-
-
 class TestEveryWriter:
     @pytest.mark.parametrize("name", sorted(_WRITERS))
     @settings(max_examples=60)
@@ -811,42 +842,6 @@ class TestEveryWriter:
             assert reads_back
             assert read(path) == expected(x)
 
-    @pytest.mark.parametrize(
-        "write, x, message",
-        [
-            (write_token_lines, [("a",), ()], "record 2: empty line"),
-            (write_token_lines, [("a\rb",)],
-             "record 1: token 'a\\rb' is empty or holds whitespace"),
-            (write_token_lines, [("a b",)], "record 1: token 'a b' is empty or holds whitespace"),
-            (write_token_lines, [("a", "")], "record 1: token '' is empty or holds whitespace"),
-            (write_alignments, [Alignment(frozenset({(0, 0)})), Alignment(frozenset({(-1, 0)}))],
-             "record 2: malformed alignment link '-1-0' at token 1"),
-            (write_kbest, _one_list(()), "record 1: empty hypothesis"),
-            (write_kbest, _one_list(("a",), ("a b",)),
-             "record 2: token 'a b' is empty or holds whitespace"),
-            (write_kbest, _one_list(("a\nb",)),
-             "record 1: token 'a\\nb' is empty or holds whitespace"),
-            (write_kbest, _one_list(("a", "|||")),
-             "record 1: unparsable log probability '||| -1.0'"),
-            (write_table, TranslationTable({"a\tb": {"x": 1.0}}),
-             "word 'a\\tb' holds a tab or a line break"),
-            (write_table, TranslationTable({"a": {"x": 0.5, "x\ny": 0.5}}),
-             "word 'x\\ny' holds a tab or a line break"),
-            (write_table, TranslationTable({"a": {"x\r": 1.0}}),
-             "word 'x\\r' holds a tab or a line break"),
-            (write_kbest, {0: KBestList(0, ()), 1: KBestList(1, _one_list(("a",))[0].entries)},
-             "k-best list 0 has no entries"),
-            (write_kbest, {0: KBestList(5, _one_list(("a",))[0].entries)},
-             "k-best list 0 holds sentence id 5"),
-            (write_table, TranslationTable({"a": {}, "b": {"x": 1.0}}),
-             "source word 'a' has an empty row"),
-        ],
-    )
-    def test_refusal_names_the_record(self, tmp_path, write, x, message):
-        with pytest.raises(ValueError) as info:
-            write(x, str(tmp_path / "out"))
-        assert str(info.value) == message
-        assert os.listdir(tmp_path) == []
 
     def test_only_write_lines_enters_atomic_write(self):
         tree = ast.parse(Path(distillens.corpus_io.__file__).read_text(encoding="utf-8"))

@@ -53,7 +53,7 @@ class TestSmoothedSentenceBleu:
     @pytest.mark.parametrize("max_ngram", [0, -1])
     @pytest.mark.parametrize("hypothesis", [["a"], []])
     def test_max_ngram_below_one_rejected(self, hypothesis, max_ngram):
-        with pytest.raises(ValueError, match=f"max_ngram must be >= 1, got {max_ngram}"):
+        with pytest.raises(ValueError, match=f"^max_ngram must be >= 1, got {max_ngram}$"):
             smoothed_sentence_bleu(hypothesis, ["a"], max_ngram)
 
     def test_brevity_penalty_short_hypothesis(self):
