@@ -518,6 +518,9 @@ def run(argv: Sequence[str]) -> int:
     except OSError as exc:
         print(f"distillens: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("distillens: out of memory", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import count, repeat
 from math import exp, log
 from operator import add, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .aligner import NULL_TOKEN, TranslationTable, viterbi_align
 from .aligner import word_alignment_score  # unused; perfbench's tracer patches it here
@@ -39,7 +39,7 @@ COMPLEXITY_KINDS = ("frs", "walign", "nmt")
 
 MAX_NGRAM = 4
 
-_RefTable = tuple[dict[str, int], list[tuple[Counter, dict[int, int]]]]
+_RefTable = tuple[dict[str, int], list[tuple[frozenset[int], dict[int, int]]]]
 
 
 class SelectionConfig(_Frozen):
@@ -74,19 +74,9 @@ class ScoredHypothesis(NamedTuple):
     total: float
 
 
-def _coded_grams(words: list[int], base: int, max_ngram: int) -> Iterator[list[int]]:
-    """The codes of the n-grams of coded ``words``, one list per n = 1..max_ngram."""
-    grams = words
-    yield grams
-    for n in range(1, max_ngram):
-        # map stops at its shorter input, so the last gram gets no successor
-        grams = list(map(add, map(mul, grams, repeat(base)), words[n:]))
-        yield grams
-
-
 def _reference_counts(reference: Sequence[str], max_ngram: int) -> _RefTable:
-    """The reference's word codes and, for n = 1..max_ngram, its coded
-    n-gram counts next to the counts of those it repeats.
+    """The reference's word codes and, for n = 1..max_ngram, the set of its
+    coded n-grams next to the counts of those it repeats.
 
     Each reference word gets an int code in order of first appearance,
     and every other word shares the code ``len(codes)``. An n-gram's code
@@ -99,35 +89,45 @@ def _reference_counts(reference: Sequence[str], max_ngram: int) -> _RefTable:
     if max_ngram < 1:
         raise ValueError(f"max_ngram must be >= 1, got {max_ngram}")
     codes = dict(zip(dict.fromkeys(reference), count()))
-    words = list(map(codes.__getitem__, reference))
-    orders = map(Counter, _coded_grams(words, len(codes) + 1, max_ngram))
-    return codes, [(grams, {g: c for g, c in grams.items() if c > 1}) for grams in orders]
+    base = len(codes) + 1
+    words = grams = list(map(codes.__getitem__, reference))
+    orders = []
+    for n in range(max_ngram):
+        if n:
+            grams = list(map(add, map(mul, grams, repeat(base)), words[n:]))
+        distinct = frozenset(grams)
+        repeated = {}
+        if len(distinct) < len(grams):
+            repeated = {g: c for g, c in Counter(grams).items() if c > 1}
+        orders.append((distinct, repeated))
+    return codes, orders
 
 
 def _bleu(hypothesis: Sequence[str], ref_len: int, ref_table: _RefTable) -> float:
     """smoothed_sentence_bleu against a reference given by its length and table."""
     if not hypothesis:
         return 0.0
-    codes, ref_counts = ref_table
-    max_ngram = len(ref_counts)
-    words = list(map(codes.get, hypothesis, repeat(len(codes))))
+    codes, ref_orders = ref_table
+    base = len(codes) + 1
+    words = grams = list(map(codes.get, hypothesis, repeat(len(codes))))
     log_precision_sum = 0.0
-    for n, grams, (ref_grams, repeated) in zip(
-        count(1), _coded_grams(words, len(codes) + 1, max_ngram), ref_counts
-    ):
+    for n, (ref_grams, repeated) in enumerate(ref_orders):
+        if n:
+            # map stops at its shorter input, so the last gram gets no successor
+            grams = list(map(add, map(mul, grams, repeat(base)), words[n:]))
         # a shared gram clips to min(its count, the reference's): 1 unless the reference repeats it
-        distinct = set(grams)
-        matches = len(distinct.intersection(ref_grams))
-        for gram in distinct.intersection(repeated):
-            matches += min(grams.count(gram), repeated[gram]) - 1
-        total = len(grams)
-        if n == 1:
-            if matches == 0:
-                return 0.0
-            log_precision_sum += log(matches / total)
+        shared = ref_grams.intersection(grams)
+        matches = len(shared)
+        if repeated:
+            for gram in shared.intersection(repeated):
+                matches += min(grams.count(gram), repeated[gram]) - 1
+        if n:
+            log_precision_sum += log((matches + 1) / (len(grams) + 1))
+        elif matches:
+            log_precision_sum += log(matches / len(grams))
         else:
-            log_precision_sum += log((matches + 1) / (total + 1))
-    geometric_mean = exp(log_precision_sum / max_ngram)
+            return 0.0
+    geometric_mean = exp(log_precision_sum / len(ref_orders))
     brevity = min(1.0, exp(1.0 - ref_len / len(hypothesis)))
     return brevity * geometric_mean
 

@@ -149,6 +149,35 @@ class TestExitCodes:
         assert "align" in capsys.readouterr().out
 
 
+    def test_out_of_memory_is_one_line_and_exit_2(self, tmp_path, files, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("distillens.cli.train_ibm1", exhaust)
+        code, err = judged_run(_argv("align --src S --tgt T --out OUT --table OUT2", files), tmp_path)
+        assert (code, err) == (2, "distillens: out of memory\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_exhausted_address_space_is_one_line_and_exit_2(self, tmp_path):
+        """EM's set-up on one 2500-token pair needs more than the 600 MB the
+        child process may map, so the run ends before it writes anything."""
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        for name, letter in (("long.src", "s"), ("long.tgt", "t")):
+            _write(tmp_path / name, " ".join(f"{letter}{i}" for i in range(2500)) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(distillens.__file__).parent.parent)}
+        result = subprocess.run(
+            [sys.executable, "-m", "distillens", "align", "--src", "long.src", "--tgt", "long.tgt",
+             "--iters", "1", "--out", "a.aln", "--table", "t.tsv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit_address_space,
+        )
+        assert (result.returncode, result.stderr) == (2, "distillens: out of memory\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["long.src", "long.tgt"]
+
+
 class Refusal(NamedTuple):
     """A run the CLI refuses: its words over the placeholders of ``files``,
     what BAD holds before it (text, bytes, or None for no file), its exit

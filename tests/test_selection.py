@@ -23,6 +23,7 @@ from distillens import (
     viterbi_align,
     word_alignment_score,
 )
+from distillens import selection
 from distillens.aligner import PROB_FLOOR
 
 
@@ -249,6 +250,31 @@ class TestScoreHypotheses:
         kbest = KBestList(0, (KBestEntry((), -1.0), KBestEntry(("t",), -1.0)))
         scored = score_hypotheses(kbest, ["t"], ["s"], SelectionConfig(0.0, "walign"), table)
         assert repr(scored[0].cxty_raw) == "0.0"
+
+
+    @pytest.mark.parametrize("kind", ["frs", "walign"])
+    def test_viterbi_runs_once_per_list_over_its_distinct_words(self, monkeypatch, kind):
+        """A target token's link depends only on its word and the source, so
+        each list costs one Viterbi call, whose target is the list's distinct
+        words in the order they first appear."""
+        calls = []
+
+        def recording(pair, table):
+            calls.append(pair)
+            return viterbi_align(pair, table)
+
+        monkeypatch.setattr(selection, "viterbi_align", recording)
+        table = TranslationTable({"s1": {"t1": 0.5, "t2": 0.5}, "s2": {"t2": 1.0}})
+        lists = [
+            (_nmt_list(("t2 t1 t2", -1.0), ("t1 t3 t1 t2", -2.0), ("t3", -3.0)), ["s1", "s2"]),
+            (_nmt_list(("t1 t1", -1.0), ("t1", -2.0)), ["s2"]),
+        ]
+        for kbest, source in lists:
+            score_hypotheses(kbest, ["t1", "t2"], source, SelectionConfig(0.5, kind), table)
+        assert calls == [
+            SentencePair(("s1", "s2"), ("t2", "t1", "t3")),
+            SentencePair(("s2",), ("t1",)),
+        ]
 
 
 class TestSelectReference:
